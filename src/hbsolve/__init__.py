@@ -34,8 +34,6 @@ _EXPORTS = {
     "InterpolatoryDecomposition": "lowrank",
     "id_row": "lowrank",
     "id_col": "lowrank",
-    "thin_qr": "lowrank",
-    "svd": "lowrank",
     # tree and HBS container
     "IndexTree": "tree",
     "build_tree": "tree",

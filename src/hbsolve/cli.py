@@ -42,7 +42,8 @@ def _add_solver_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized pieces (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread count (best effort; set before numpy loads)")
+                   help="BLAS thread count; takes effect only when numpy has not "
+                        "been imported yet in this process")
 
 
 def build_parser():

@@ -96,15 +96,11 @@ def _node_id(R, C, tol, symmetrize):
     if symmetrize:
         shared = id_row(np.hstack([R, C]), tol)
         return shared, shared
-    idr = id_row(R, tol)
-    idc = id_row(C, tol)
+    idr, idc = id_row(R, tol), id_row(C, tol)
     # the recursive inversion needs square V* D~^-1 U, so pin both sides
-    # to the larger adaptive rank
-    if idr.rank != idc.rank:
-        k = max(idr.rank, idc.rank)
-        idr = id_row(R, tol, rank=k)
-        idc = id_row(C, tol, rank=k)
-    return idr, idc
+    # to the larger adaptive rank, truncating each side's own CPQR
+    k = max(idr.rank, idc.rank)
+    return idr.truncate(k), idc.truncate(k)
 
 
 def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .hbs import HbsMatrix
 from .tree import IndexTree
@@ -36,16 +37,18 @@ class SingularBlockError(np.linalg.LinAlgError):
 
 
 def _inv(M, what):
-    """Dense inverse with a singularity error naming the block, plus cond."""
+    """Dense inverse from one LU, with a singularity error naming the block,
+    plus the LAPACK 1-norm condition estimate from that same LU."""
     if M.shape[0] == 0:
         return M.reshape(0, 0).copy(), 1.0
-    try:
-        out = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular matrix while inverting {what}") from exc
+    lu, piv, info = lapack.dgetrf(M)
+    if info > 0:
+        raise SingularBlockError(f"singular matrix while inverting {what}")
+    out, _ = lapack.dgetri(lu, piv)
     if not np.all(np.isfinite(out)):
         raise SingularBlockError(f"non-finite inverse of {what}")
-    cond = np.linalg.cond(M)
+    rcond, _ = lapack.dgecon(lu, np.linalg.norm(M, 1))
+    cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(f"ill-conditioned {what}: cond = {cond:.3e}", RuntimeWarning)
     return out, float(cond)
@@ -59,7 +62,7 @@ def _node_factors(Dt, U, V, what):
     Dhat, cond_M = _inv(V.T @ DiU, f"V* D~^-1 U of {what}")
     E = DiU @ Dhat
     F = (Dhat @ ViDi).T
-    G = Dtinv - DiU @ Dhat @ ViDi
+    G = Dtinv - E @ ViDi
     return E, F, G, Dhat, {"cond_Dtilde": cond_Dt, "cond_core": cond_M}
 
 

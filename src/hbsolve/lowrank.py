@@ -1,18 +1,20 @@
-"""Rank-revealing factorizations: interpolatory decomposition, QR, SVD.
+"""Rank-revealing factorizations: the interpolatory decomposition.
 
 The interpolatory decomposition (ID) of a matrix B picks k rows of B (the
 skeleton) and an m x k coefficient matrix U with U[J, :] = I such that
 
     B ~= U @ B[J, :],    ||B - U B[J, :]||_F <= tol ||B||_F.
 
-It is computed from a column-pivoted Householder QR of B.T.  CPQR alone can
-leave coefficient entries slightly above the target bound of 2, so a maxvol
-style row-swap refinement kicks in as a fallback whenever that happens.
+It is computed from a column-pivoted Householder QR of B.T.  The pivots of
+CPQR do not depend on k, so one factorization yields the ID at every rank
+(`InterpolatoryDecomposition.truncate`).  CPQR alone can leave coefficient
+entries slightly above the target bound of 2, so a maxvol style row-swap
+refinement kicks in as a fallback whenever that happens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -26,10 +28,20 @@ class InterpolatoryDecomposition:
 
     skeleton: np.ndarray  # (k,) row indices into B
     coeffs: np.ndarray    # (m, k), rows at skeleton indices form I_k
+    # leading min(m, n) rows of the R factor of B.T and its column pivots
+    r_factor: np.ndarray = field(default=None, repr=False, compare=False)
+    pivots: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self):
         return self.skeleton.shape[0]
+
+    def truncate(self, k):
+        """The rank-k ID of the same matrix from the same factorization;
+        k is capped at min(m, n)."""
+        if k == self.rank:
+            return self
+        return _id_from_factor(self.r_factor, self.pivots, k)
 
 
 def _adaptive_rank(R, tol):
@@ -63,49 +75,45 @@ def _maxvol_refine(C, J, max_sweeps=200):
     return np.asarray(J), W
 
 
-def id_row(B, tol, rank=None):
-    """Row interpolatory decomposition B ~= U @ B[J, :].
-
-    The rank is adaptive unless `rank` pins it (used when matching row and
-    column ranks across a pair of factorizations).  Coefficient entries are
-    kept within COEFF_BOUND via the maxvol fallback.
-    """
-    B = np.asarray(B, float)
-    if B.size == 0:
-        m = B.shape[0]
-        return InterpolatoryDecomposition(np.empty(0, int), np.empty((m, 0)))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = B.shape[0]
-    Q, R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="economic")
-    kmax = min(B.shape)
-    k = _adaptive_rank(R[:kmax], tol) if rank is None else min(int(rank), kmax)
+def _id_from_factor(R, piv, k):
+    """Rank-k ID from the R factor and pivots of a CPQR of B.T."""
+    m = piv.shape[0]
+    k = min(int(k), R.shape[0])
     J = piv[:k]
     U = np.zeros((m, k))
     if k:
-        T = scipy.linalg.solve_triangular(R[:k, :k], R[:k, k:])
+        T = scipy.linalg.solve_triangular(R[:k, :k], R[:k, k:], check_finite=False)
         U[J] = np.eye(k)
         U[piv[k:]] = T.T
         if np.max(np.abs(U)) > COEFF_BOUND:
             # rare CPQR coefficient overshoot: re-pick the skeleton by maxvol
-            C = B @ Q[:, :k]
+            # on C = B Q[:, :k], whose pivoted rows are R[:k].T
+            C = np.empty((m, k))
+            C[piv] = R[:k].T
             J, W = _maxvol_refine(C, J)
             U = W
             U[J] = np.eye(k)
-    return InterpolatoryDecomposition(np.asarray(J), U)
+    return InterpolatoryDecomposition(np.asarray(J), U, R, piv)
+
+
+def id_row(B, tol, rank=None):
+    """Row interpolatory decomposition B ~= U @ B[J, :].
+
+    The rank is adaptive unless `rank` pins it; `truncate` moves the result
+    to another rank without factoring again.  Coefficient entries are kept
+    within COEFF_BOUND via the maxvol fallback.
+    """
+    B = np.asarray(B, float)
+    if B.size == 0:
+        return _id_from_factor(np.empty((0, B.shape[0])), np.arange(B.shape[0]), 0)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="r", check_finite=False)
+    R = R[: min(B.shape)]
+    return _id_from_factor(R, piv, _adaptive_rank(R, tol) if rank is None else rank)
 
 
 def id_col(B, tol, rank=None):
     """Column analogue: B ~= B[:, J] @ V.T with V[J, :] = I_k."""
     return id_row(np.asarray(B, float).T, tol, rank=rank)
 
-
-def thin_qr(B):
-    """Economy QR with Q orthonormal columns."""
-    return np.linalg.qr(np.asarray(B, float))
-
-
-def svd(B):
-    """Full-matrices-off SVD, singular values nonincreasing."""
-    X, s, Yt = np.linalg.svd(np.asarray(B, float), full_matrices=False)
-    return X, s, Yt.T

@@ -24,21 +24,9 @@ import numpy as np
 
 from .hbs import HbsMatrix
 from .inversion import HbsInverse
-from .tree import IndexTree
+from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
-
-
-def _tree_with_levels(n, levels):
-    import math
-
-    ranges = {1: (0, n)}
-    for tau in range(1, 2**levels):
-        start, stop = ranges[tau]
-        mid = start + math.ceil((stop - start) / 2)
-        ranges[2 * tau] = (start, mid)
-        ranges[2 * tau + 1] = (mid, stop)
-    return IndexTree(n=n, levels=levels, ranges=ranges)
 
 
 def _write_record(f, node, role, blocks):
@@ -89,7 +77,7 @@ def load(path):
         magic, n, levels, _ = struct.unpack("<4sIII", f.read(16))
         if magic != HBS_MAGIC:
             raise ValueError(f"not an HBS1 file: bad magic {magic!r}")
-        tree = _tree_with_levels(n, levels)
+        tree = tree_with_levels(n, levels)
         node, role, blocks = _read_record(f)
         if node != 1:
             raise ValueError(f"first record must be node 1, got {node}")

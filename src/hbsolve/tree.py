@@ -48,14 +48,9 @@ class IndexTree:
         return [(2 * t, 2 * t + 1) for t in self.nodes_at_level(level)]
 
 
-def build_tree(n, target_leaf):
-    """Depth L = max(0, ceil(log2(n / target_leaf))); splits take the ceiling
-    half on the left, so leaf sizes differ by at most one."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if target_leaf < 2:
-        raise ValueError(f"target_leaf must be >= 2, got {target_leaf}")
-    levels = max(0, math.ceil(math.log2(n / target_leaf))) if n > target_leaf else 0
+def tree_with_levels(n, levels):
+    """The depth-`levels` tree over [0, n); each split gives the left child
+    the ceiling half, so leaf sizes differ by at most one."""
     ranges = {1: (0, n)}
     for tau in range(1, 2**levels):
         start, stop = ranges[tau]
@@ -63,3 +58,13 @@ def build_tree(n, target_leaf):
         ranges[2 * tau] = (start, mid)
         ranges[2 * tau + 1] = (mid, stop)
     return IndexTree(n=n, levels=levels, ranges=ranges)
+
+
+def build_tree(n, target_leaf):
+    """Depth L = max(0, ceil(log2(n / target_leaf)))."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if target_leaf < 2:
+        raise ValueError(f"target_leaf must be >= 2, got {target_leaf}")
+    levels = max(0, math.ceil(math.log2(n / target_leaf))) if n > target_leaf else 0
+    return tree_with_levels(n, levels)

@@ -217,26 +217,29 @@ def test_criterion_08_linear_scaling(announce):
     t_all = time.monotonic()
     star = hb.SmoothStar()
     cfg = hb.CompressionConfig(mode="proxy")
-    rows = {}
-    for n_target in (10000, 20000, 40000):
+    sizes = (10000, 20000, 40000)
+    cases = {}
+    for n_target in sizes:
         panels = hb.decompose(star, n_target // 10, 0)
         grid = hb.build_grid(star, panels, 10)
-        u = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
-        # best of three per stage: the stages are fast enough at these
-        # sizes that single-shot wall times are noise-dominated
-        t_compress, t_invert, t_apply = np.inf, np.inf, np.inf
-        for _ in range(3):
+        cases[n_target] = (grid, hb.harmonic_trace(grid, np.array([3.0, 0.0])))
+    # median of five samples per stage (of 40 for apply, which takes only
+    # milliseconds).  The machine's speed drifts over seconds, so the sizes
+    # take turns within each round rather than sampling one size at a time
+    samples = {n: ([], [], []) for n in sizes}
+    for _ in range(5):
+        for n_target in sizes:
+            grid, u = cases[n_target]
+            compress_s, invert_s, apply_s = samples[n_target]
             t0 = time.monotonic()
             Ah, _ = hb.compress(grid, cfg)
             t1 = time.monotonic()
             inv = hbs_invert(Ah)
             t2 = time.monotonic()
-            apply_inverse(inv, u)
-            t3 = time.monotonic()
-            t_compress = min(t_compress, t1 - t0)
-            t_invert = min(t_invert, t2 - t1)
-            t_apply = min(t_apply, t3 - t2)
-        rows[n_target] = (t_compress, t_invert, t_apply)
+            compress_s.append(t1 - t0)
+            invert_s.append(t2 - t1)
+            apply_s.extend(_timed(lambda: apply_inverse(inv, u)) for _ in range(8))
+    rows = {n: [np.median(s) for s in samples[n]] for n in sizes}
     lines = []
     for a, b in ((10000, 20000), (20000, 40000)):
         for i, what in enumerate(("compress", "invert", "apply")):

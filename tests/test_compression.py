@@ -118,6 +118,19 @@ def test_proxy_leaf_reproduces_dense_samples():
     assert np.linalg.norm(R - approx) <= 1e-8 * max(np.linalg.norm(R), 1.0)
 
 
+def test_proxy_compress_factors_each_side_once(monkeypatch):
+    # one CPQR per side per skeletonized node, also where the row and
+    # column ranks differ and both sides get pinned to the larger one
+    import hbsolve.compression as compression
+
+    calls = []
+    id_row = compression.id_row
+    monkeypatch.setattr(compression, "id_row",
+                        lambda B, tol, rank=None: calls.append(B.shape) or id_row(B, tol, rank))
+    Ah, _ = compress(star_grid(64, 10), CompressionConfig(mode="proxy"))
+    assert len(calls) == 2 * (Ah.tree.node_count - 1)
+
+
 def test_proxy_matches_dense_expansion():
     grid = star_grid(64, 10)
     A = hb.assemble_dlp(grid)

@@ -12,7 +12,7 @@ from hbsolve.inversion import (
     inverse_transpose,
     reformat_orthonormal,
 )
-from conftest import circle_grid, random_block_separable, random_hbs
+from conftest import circle_grid, random_block_separable, random_hbs, star_grid
 
 
 def compressed_circle(n_panels, target_leaf=64):
@@ -141,6 +141,33 @@ def test_hbs_invert_names_singular_node(rng):
     A.D[leaf] = np.zeros_like(A.D[leaf])
     with pytest.raises(SingularBlockError, match=f"node {leaf}"):
         hbs_invert(A)
+
+
+def test_condition_estimates_track_two_norm_condition():
+    # the acceptance fixtures: smooth star (N = 800) and corner star with
+    # 2 grading levels (N = 1700), proxy compression at the default tolerance
+    c = hb.CornerStar()
+    grids = [star_grid(80, 10), hb.build_grid(c, hb.decompose(c, 6, 2), 17)]
+    for grid in grids:
+        assert grid.size <= 2000
+        A, _ = hb.compress(grid, hb.CompressionConfig(mode="proxy"))
+        inv = hbs_invert(A)
+        tree = A.tree
+
+        def reduced_block(tau):
+            if tree.is_leaf(tau):
+                return A.D[tau]
+            s1, s2 = 2 * tau, 2 * tau + 1
+            return np.block([[inv.Dhat[s1], A.B12[tau]], [A.B21[tau], inv.Dhat[s2]]])
+
+        pairs = [(inv.telemetry[1]["cond_Dtilde"], np.linalg.cond(reduced_block(1)))]
+        for tau in range(2, tree.node_count + 1):
+            Dt = reduced_block(tau)
+            core = A.V[tau].T @ np.linalg.solve(Dt, A.U[tau])
+            pairs.append((inv.telemetry[tau]["cond_Dtilde"], np.linalg.cond(Dt)))
+            pairs.append((inv.telemetry[tau]["cond_core"], np.linalg.cond(core)))
+        ratios = np.array([est / exact for est, exact in pairs])
+        assert np.all((ratios >= 0.1) & (ratios <= 10)), (ratios.min(), ratios.max())
 
 
 def test_inverse_transpose(rng):

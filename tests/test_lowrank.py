@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbsolve.lowrank import COEFF_BOUND, id_col, id_row, svd, thin_qr
+from hbsolve import lowrank
+from hbsolve.lowrank import COEFF_BOUND, id_col, id_row
 
 
 def residual(B, dec):
@@ -95,20 +96,43 @@ def test_id_col_duality():
     assert np.array_equal(dec.coeffs[dec.skeleton], np.eye(dec.rank))
 
 
-def test_thin_qr_and_svd_contracts():
-    Q, R = thin_qr(np.eye(3))
-    assert np.allclose(np.abs(Q), np.eye(3)) and np.allclose(np.abs(R), np.eye(3))
-    X, s, Y = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(s, [3.0, 2.0, 1.0])
-    rng = np.random.default_rng(8)
-    B = rng.standard_normal((40, 40))
-    Q, R = thin_qr(B)
-    assert np.linalg.norm(Q.T @ Q - np.eye(40)) < 1e-13
-    assert np.linalg.norm(B - Q @ R) < 1e-13 * np.linalg.norm(B)
-    assert np.allclose(R, np.triu(R))
-    X, s, Y = svd(B)
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-    assert np.linalg.norm(B - X @ np.diag(s) @ Y.T) < 1e-12 * np.linalg.norm(B)
+def kahan(n, c=0.285):
+    """Kahan's matrix, columns scaled so CPQR keeps the natural order; its
+    CPQR coefficients R11^-1 R12 grow past COEFF_BOUND at moderate k."""
+    s = np.sqrt(1 - c * c)
+    K = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    return K @ np.diag((1 - 1e-10) ** np.arange(n))
+
+
+def test_truncate_matches_pinned_rank():
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((50, 70)) * np.logspace(0, -14, 70)[None, :]
+    dec = id_row(B, 1e-6)
+    assert 0 < dec.rank < 50
+    for k in (0, 1, dec.rank - 1, dec.rank, dec.rank + 3, 50, 80):
+        cut, fresh = dec.truncate(k), id_row(B, 1e-6, rank=k)
+        assert cut.rank == min(k, 50)
+        assert np.array_equal(cut.skeleton, fresh.skeleton)
+        assert np.array_equal(cut.coeffs, fresh.coeffs)
+
+
+def test_truncate_keeps_maxvol_fallback(monkeypatch):
+    calls = []
+    refine = lowrank._maxvol_refine
+    monkeypatch.setattr(lowrank, "_maxvol_refine",
+                        lambda C, J: calls.append(len(J)) or refine(C, J))
+    B = kahan(60).T
+    dec = id_row(B, 0.5)
+    assert dec.rank < 30
+    for k in (30, 45):
+        calls.clear()
+        cut = dec.truncate(k)
+        assert calls == [k]  # CPQR overshot the bound at this rank
+        assert np.max(np.abs(cut.coeffs)) <= COEFF_BOUND
+        assert np.array_equal(cut.coeffs[cut.skeleton], np.eye(k))
+        fresh = id_row(B, 0.5, rank=k)
+        assert np.array_equal(cut.skeleton, fresh.skeleton)
+        assert np.array_equal(cut.coeffs, fresh.coeffs)
 
 
 @settings(deadline=None, max_examples=30)
