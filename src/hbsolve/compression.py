@@ -77,17 +77,17 @@ class NystromDlpKernel:
 
     def row_proxy(self, rows, proxy_pts):
         """Monopole basis log|x_i - z_j| spanning incoming harmonic fields."""
-        d = self.grid.points[rows][:, None, :] - proxy_pts[None, :, :]
-        return 0.5 * np.log(np.einsum("ijk,ijk->ij", d, d))
+        _, _, r2 = quad._differences(self.grid.points[rows], proxy_pts)
+        np.log(r2, out=r2)
+        r2 *= 0.5
+        return r2
 
     def col_proxy(self, cols, proxy_pts):
         """Outgoing field of the weighted dipole sources at proxy targets,
         transposed to (len(cols), J)."""
         g = self.grid
-        d = proxy_pts[None, :, :] - g.points[cols][:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d)
-        num = np.einsum("ik,ijk->ij", -g.normals[cols], d)
-        return num / (2 * np.pi * r2) * g.weights[cols][:, None]
+        dx, dy, r2 = quad._differences(proxy_pts, g.points[cols])
+        return quad._dipole(dx, dy, r2, g.normals[cols], g.weights[cols]).T
 
 
 def _node_id(R, C, tol, symmetrize):
@@ -265,6 +265,9 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     rhs = np.asarray(rhs, float)
     if rhs.shape != (grid.size,):
         raise ValueError(f"rhs length {rhs.shape} does not match grid size {grid.size}")
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        raise ValueError(f"rhs has {bad.size} non-finite entries, the first at index {bad[0]}")
 
     t0 = time.monotonic()
     A, skel = compress(grid, cfg)

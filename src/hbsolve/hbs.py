@@ -193,6 +193,9 @@ def validate(A: HbsMatrix):
                 if tau in A.V:
                     check(A.V[tau].shape[0] == k1 + k2,
                           f"parent {tau}: V has {A.V[tau].shape[0]} rows, expected {k1 + k2}")
+                if tau in A.U and tau in A.V:
+                    check(A.U[tau].shape[1] == A.V[tau].shape[1],
+                          f"parent {tau}: U rank {A.U[tau].shape[1]} != V rank {A.V[tau].shape[1]}")
 
     for name, store in (("D", A.D), ("U", A.U), ("V", A.V), ("B12", A.B12), ("B21", A.B21)):
         for tau, block in store.items():

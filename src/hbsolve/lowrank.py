@@ -15,6 +15,7 @@ refinement kicks in as a fallback whenever that happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -22,26 +23,42 @@ import scipy.linalg
 COEFF_BOUND = 2.0
 
 
-@dataclass
+@dataclass(eq=False)
 class InterpolatoryDecomposition:
-    """Skeleton row indices J and coefficients U with U[J, :] = I_k."""
+    """Rank-k ID from the leading min(m, n) rows of the R factor of B.T and
+    its column pivots; k is capped at min(m, n).  The skeleton row indices J
+    and the coefficients U with U[J, :] = I_k are formed on first use."""
 
-    skeleton: np.ndarray  # (k,) row indices into B
-    coeffs: np.ndarray    # (m, k), rows at skeleton indices form I_k
-    # leading min(m, n) rows of the R factor of B.T and its column pivots
-    r_factor: np.ndarray = field(default=None, repr=False, compare=False)
-    pivots: np.ndarray = field(default=None, repr=False, compare=False)
+    r_factor: np.ndarray = field(repr=False)
+    pivots: np.ndarray = field(repr=False)
+    rank: int
+
+    def __post_init__(self):
+        self.rank = min(int(self.rank), self.r_factor.shape[0])
+
+    @cached_property
+    def _formed(self):
+        return _id_from_factor(self.r_factor, self.pivots, self.rank)
 
     @property
-    def rank(self):
-        return self.skeleton.shape[0]
+    def skeleton(self):
+        """(k,) row indices into B."""
+        return self._formed[0]
+
+    @property
+    def coeffs(self):
+        """(m, k); the rows at the skeleton indices form I_k."""
+        return self._formed[1]
 
     def truncate(self, k):
-        """The rank-k ID of the same matrix from the same factorization;
-        k is capped at min(m, n)."""
-        if k == self.rank:
+        """The rank-k ID of the same matrix from the same factorization.
+        A pinned rank is the one the caller goes on to use, so it is formed
+        at once."""
+        cut = InterpolatoryDecomposition(self.r_factor, self.pivots, k)
+        if cut.rank == self.rank:
             return self
-        return _id_from_factor(self.r_factor, self.pivots, k)
+        cut._formed  # noqa: B018 -- evaluating the cached property forms it
+        return cut
 
 
 def _adaptive_rank(R, tol):
@@ -76,9 +93,9 @@ def _maxvol_refine(C, J, max_sweeps=200):
 
 
 def _id_from_factor(R, piv, k):
-    """Rank-k ID from the R factor and pivots of a CPQR of B.T."""
+    """Skeleton J and coefficients U of the rank-k ID from the R factor and
+    pivots of a CPQR of B.T (k <= R.shape[0])."""
     m = piv.shape[0]
-    k = min(int(k), R.shape[0])
     J = piv[:k]
     U = np.zeros((m, k))
     if k:
@@ -93,24 +110,26 @@ def _id_from_factor(R, piv, k):
             J, W = _maxvol_refine(C, J)
             U = W
             U[J] = np.eye(k)
-    return InterpolatoryDecomposition(np.asarray(J), U, R, piv)
+    return np.asarray(J), U
 
 
 def id_row(B, tol, rank=None):
     """Row interpolatory decomposition B ~= U @ B[J, :].
 
     The rank is adaptive unless `rank` pins it; `truncate` moves the result
-    to another rank without factoring again.  Coefficient entries are kept
-    within COEFF_BOUND via the maxvol fallback.
+    to another rank without factoring again.  Only the factorization runs
+    here; the skeleton and coefficients are formed when first read, with
+    coefficient entries kept within COEFF_BOUND via the maxvol fallback.
     """
     B = np.asarray(B, float)
     if B.size == 0:
-        return _id_from_factor(np.empty((0, B.shape[0])), np.arange(B.shape[0]), 0)
+        return InterpolatoryDecomposition(np.empty((0, B.shape[0])), np.arange(B.shape[0]), 0)
     if tol <= 0:
         raise ValueError("tol must be positive")
     R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="r", check_finite=False)
     R = R[: min(B.shape)]
-    return _id_from_factor(R, piv, _adaptive_rank(R, tol) if rank is None else rank)
+    return InterpolatoryDecomposition(
+        R, piv, _adaptive_rank(R, tol) if rank is None else rank)
 
 
 def id_col(B, tol, rank=None):

@@ -15,6 +15,11 @@ contour and 1/2 I + K is invertible (on the unit circle K is the constant
 kappa(x) / (4 pi) with kappa the signed curvature of the CCW
 parameterization.  Interior values of the solution are recovered from the
 same kernel: u(z) = sum_j K(z, x_j) w_j q_j for z inside.
+
+Every kernel block is evaluated from two n x m coordinate-difference arrays
+and r^2: weights, normals and -1/(2 pi) fold into per-column scales applied
+in place, and self pairs (equal global indices) are found from the index
+arrays, then overwritten with the curvature limit.
 """
 
 from __future__ import annotations
@@ -88,6 +93,63 @@ def build_grid(contour: Contour, panels: PanelDecomposition, nodes_per_panel: in
     )
 
 
+def _differences(targets, sources):
+    """dx, dy and r2 = dx^2 + dy^2 between target points (rows) and source
+    points (columns), as three n x m arrays."""
+    dx = np.subtract.outer(targets[:, 0], sources[:, 0])
+    dy = np.subtract.outer(targets[:, 1], sources[:, 1])
+    r2 = dx * dx
+    r2 += dy * dy
+    return dx, dy, r2
+
+
+def _dipole(dx, dy, r2, normals, scale):
+    """scale_j n_in(x_j) . (z_i - x_j) / (2 pi r2_ij), written over dx.
+
+    The inward normal, the weights in `scale` and -1/(2 pi) fold into one
+    scale per coordinate and column, so the block costs four in-place passes.
+    """
+    s = scale / (-2 * np.pi)
+    dx *= normals[:, 0] * s
+    dy *= normals[:, 1] * s
+    dx += dy
+    dx /= r2
+    return dx
+
+
+_NO_PAIRS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def _self_pairs(rows, cols):
+    """All (i, j) with rows[i] == cols[j], repeated indices included."""
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    lo = np.searchsorted(sorted_cols, rows, "left")
+    counts = np.searchsorted(sorted_cols, rows, "right") - lo
+    if not counts.any():
+        return _NO_PAIRS
+    i = np.repeat(np.arange(rows.shape[0]), counts)
+    # pair p of row i sits at sorted position lo[i] + (p - first pair of row i)
+    shift = lo - np.cumsum(counts) + counts
+    return i, order[np.arange(i.shape[0]) + shift[i]]
+
+
+def _grid_block(grid, rows, cols, scale, check_coincident):
+    """Dipole block between grid nodes with the self pairs (i, j) left for
+    the caller to overwrite; coincident *distinct* nodes raise."""
+    dx, dy, r2 = _differences(grid.points[rows], grid.points[cols])
+    i, j = _self_pairs(rows, cols)
+    if i.size:
+        r2[i, j] = np.inf
+    if check_coincident and r2.size and r2.min() < COINCIDENT_NODE_TOL**2:
+        raise DegenerateGridError(
+            f"distinct quadrature nodes closer than {COINCIDENT_NODE_TOL:g}"
+        )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        K = _dipole(dx, dy, r2, grid.normals[cols], scale)
+    return K, i, j
+
+
 def dlp_kernel_block(grid: QuadratureGrid, rows, cols, check_coincident=True):
     """Kernel values K(x_r, x_c) for index arrays rows/cols (no weights).
 
@@ -96,19 +158,9 @@ def dlp_kernel_block(grid: QuadratureGrid, rows, cols, check_coincident=True):
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    d = grid.points[rows][:, None, :] - grid.points[cols][None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    same = rows[:, None] == cols[None, :]
-    if check_coincident and np.any(r2[~same] < COINCIDENT_NODE_TOL**2):
-        raise DegenerateGridError(
-            f"distinct quadrature nodes closer than {COINCIDENT_NODE_TOL:g}"
-        )
-    n_in = -grid.normals[cols]
-    num = np.einsum("jk,ijk->ij", n_in, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        K = num / (2 * np.pi * r2)
-    if np.any(same):
-        K[same] = np.broadcast_to(grid.curvature[cols] / (4 * np.pi), K.shape)[same]
+    K, i, j = _grid_block(grid, rows, cols, 1.0, check_coincident)
+    if i.size:
+        K[i, j] = grid.curvature[cols[j]] / (4 * np.pi)
     return K
 
 
@@ -116,9 +168,10 @@ def nystrom_block(grid: QuadratureGrid, rows, cols):
     """Submatrix A(rows, cols) of the Nystrom system (1/2) I + K diag(w)."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    A = dlp_kernel_block(grid, rows, cols) * grid.weights[cols][None, :]
-    same = rows[:, None] == cols[None, :]
-    A[same] += 0.5
+    w = grid.weights[cols]
+    A, i, j = _grid_block(grid, rows, cols, w, True)
+    if i.size:
+        A[i, j] = grid.curvature[cols[j]] / (4 * np.pi) * w[j] + 0.5
     return A
 
 
@@ -157,11 +210,8 @@ def dense_matvec_transpose(grid: QuadratureGrid, q, block_size=1024):
 def eval_dlp_potential(grid: QuadratureGrid, density, targets):
     """Double-layer potential at off-curve target points."""
     targets = np.atleast_2d(np.asarray(targets, float))
-    d = targets[:, None, :] - grid.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    num = np.einsum("jk,ijk->ij", -grid.normals, d)
-    K = num / (2 * np.pi * r2)
-    return K @ (grid.weights * np.asarray(density, float))
+    dx, dy, r2 = _differences(targets, grid.points)
+    return _dipole(dx, dy, r2, grid.normals, grid.weights) @ np.asarray(density, float)
 
 
 def winding_number(grid: QuadratureGrid, targets):
@@ -256,6 +306,10 @@ def load_grid_csv(path) -> QuadratureGrid:
     data = np.genfromtxt(path, delimiter=",", names=True)
     if data.ndim == 0:
         data = data.reshape(1)
+    for name in GRID_CSV_FIELDS:
+        bad = np.flatnonzero(~np.isfinite(data[name]))
+        if bad.size:
+            raise ValueError(f"{path}: non-finite or unreadable {name!r} in data row {bad[0] + 1}")
     t = data["t"]
     points = np.stack([data["x"], data["y"]], axis=-1)
     panel_of = data["panel"].astype(int)

@@ -18,89 +18,162 @@ Round trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .hbs import HbsMatrix
+from .hbs import HbsMatrix, validate
 from .inversion import HbsInverse
 from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
 
 
-def _write_record(f, node, role, blocks):
-    f.write(struct.pack("<III", node, role, len(blocks)))
-    for b in blocks:
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        f.write(struct.pack("<II", b.shape[0], b.shape[1]))
-        f.write(b.tobytes())
+# the blocks of each role, in file order, named as the container fields
+_ROLE_BLOCKS = {0: ("D",), 1: ("D", "U", "V"), 2: ("U", "V", "B12", "B21"),
+                3: ("B12", "B21"), 9: ("E", "F", "G", "Dhat"), 10: ("G",)}
 
 
-def _read_record(f):
-    node, role, nblocks = struct.unpack("<III", f.read(12))
-    blocks = []
-    for _ in range(nblocks):
-        rows, cols = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(rows * cols * 8), dtype=np.float64)
-        blocks.append(data.reshape(rows, cols).copy())
-    return node, role, blocks
+def _role(levels, tau, inverse):
+    """Role of node tau's record in a file over a depth-`levels` tree."""
+    if inverse:
+        return 10 if tau == 1 else 9
+    if levels == 0:
+        return 0
+    return 3 if tau == 1 else 1 if tau >= 1 << levels else 2
+
+
+def _save(path, obj, inverse, target_leaf):
+    tree = obj.tree
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIII", HBS_MAGIC, tree.n, tree.levels, target_leaf))
+        for tau in range(1, tree.node_count + 1):
+            role = _role(tree.levels, tau, inverse)
+            names = _ROLE_BLOCKS[role]
+            f.write(struct.pack("<III", tau, role, len(names)))
+            for name in names:
+                b = np.ascontiguousarray(getattr(obj, name)[tau], dtype=np.float64)
+                f.write(struct.pack("<II", b.shape[0], b.shape[1]))
+                f.write(b.tobytes())
 
 
 def save_hbs(path, A: HbsMatrix, target_leaf=0):
-    tree = A.tree
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", HBS_MAGIC, tree.n, tree.levels, target_leaf))
-        if tree.levels == 0:
-            _write_record(f, 1, 0, [A.D[1]])
-            return
-        _write_record(f, 1, 3, [A.B12[1], A.B21[1]])
-        for tau in range(2, tree.node_count + 1):
-            if tree.is_leaf(tau):
-                _write_record(f, tau, 1, [A.D[tau], A.U[tau], A.V[tau]])
-            else:
-                _write_record(f, tau, 2, [A.U[tau], A.V[tau], A.B12[tau], A.B21[tau]])
+    _save(path, A, False, target_leaf)
 
 
 def save_inverse(path, inv: HbsInverse, target_leaf=0):
+    _save(path, inv, True, target_leaf)
+
+
+class _Reader:
+    """Sequential HBS1 reader; a read past the end of the file raises,
+    naming what was being read and its byte offset."""
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
+        self.at = 0
+
+    def skip(self, nbytes, what, tau=0):
+        """Claim the next nbytes, raising if the file ends first."""
+        left = self.size - self.at
+        if nbytes > left:
+            of_node = f" of node {tau}" if tau else ""
+            raise ValueError(f"truncated HBS1 file: {what}{of_node} at byte "
+                             f"{self.at} needs {nbytes} bytes, {left} left")
+        self.at += nbytes
+
+    def take(self, nbytes, what, tau=0):
+        self.skip(nbytes, what, tau)
+        return self.f.read(nbytes)
+
+    def record(self, tau, roles):
+        """Role and named blocks of node tau's record; its role must be one
+        of `roles`."""
+        at = self.at
+        node, role, count = struct.unpack("<III", self.take(12, "record", tau))
+        if node != tau:
+            raise ValueError(f"record at byte {at} is for node {node}, expected "
+                             f"node {tau}: records must follow node order")
+        if role not in roles:
+            raise ValueError(f"unexpected role {role} at node {tau} (byte {at}), "
+                             f"expected {' or '.join(map(str, roles))}")
+        names = _ROLE_BLOCKS[role]
+        if count != len(names):
+            raise ValueError(f"node {tau} (byte {at}): role {role} has "
+                             f"{len(names)} blocks, the record says {count}")
+        blocks = {}
+        for name in names:
+            rows, cols = struct.unpack("<II", self.take(8, name, tau))
+            self.skip(8 * rows * cols, name, tau)
+            blocks[name] = block = np.empty((rows, cols))
+            self.f.readinto(block)
+        return role, blocks
+
+    def end(self):
+        if self.at != self.size:
+            raise ValueError(f"{self.size - self.at} trailing bytes after the "
+                             f"last record, at byte {self.at}")
+
+
+def _inverse_shape_errors(inv: HbsInverse):
+    """Block shapes of a factored inverse against the tree's sizes and the
+    ranks (Dhat sizes) of each node's children."""
     tree = inv.tree
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", HBS_MAGIC, tree.n, tree.levels, target_leaf))
-        _write_record(f, 1, 10, [inv.G[1]])
-        for tau in range(2, tree.node_count + 1):
-            _write_record(f, tau, 9, [inv.E[tau], inv.F[tau], inv.G[tau], inv.Dhat[tau]])
+    errors = []
+    for tau in range(1, tree.node_count + 1):
+        if tree.is_leaf(tau):
+            m = tree.size_of(tau)
+        else:
+            m = inv.Dhat[2 * tau].shape[0] + inv.Dhat[2 * tau + 1].shape[0]
+        k = inv.Dhat[tau].shape[0] if tau > 1 else 0
+        shapes = {"G": (m, m)} if tau == 1 else {
+            "E": (m, k), "F": (m, k), "G": (m, m), "Dhat": (k, k)}
+        for name, shape in shapes.items():
+            got = getattr(inv, name)[tau].shape
+            if got != shape:
+                errors.append(f"node {tau}: {name} shape {got}, expected {shape}")
+    return errors
 
 
 def load(path):
-    """Load either an HbsMatrix or an HbsInverse, as the roles dictate."""
+    """Load either an HbsMatrix or an HbsInverse, as the root's role dictates.
+
+    Any malformed file raises ValueError: a short read (naming the node and
+    byte offset), trailing bytes, records out of node order, a role or
+    block count that does not fit the node's place in the tree, or block
+    shapes that do not fit the tree's sizes and the neighbouring ranks.
+    These checks cost O(#records); a loaded HbsMatrix also passes
+    `validate`, which scans every entry.
+    """
     with open(path, "rb") as f:
-        magic, n, levels, _ = struct.unpack("<4sIII", f.read(16))
+        r = _Reader(f)
+        magic, n, levels, _ = struct.unpack("<4sIII", r.take(16, "header"))
         if magic != HBS_MAGIC:
             raise ValueError(f"not an HBS1 file: bad magic {magic!r}")
-        tree = tree_with_levels(n, levels)
-        node, role, blocks = _read_record(f)
-        if node != 1:
-            raise ValueError(f"first record must be node 1, got {node}")
-        if role == 0:
-            return HbsMatrix(tree=tree, D={1: blocks[0]}, U={}, V={}, B12={}, B21={})
-        if role in (3, 2, 1):
-            A = HbsMatrix(tree=tree, D={}, U={}, V={},
-                          B12={1: blocks[0]}, B21={1: blocks[1]})
-            for _ in range(2, tree.node_count + 1):
-                tau, role, blocks = _read_record(f)
-                if role == 1:
-                    A.D[tau], A.U[tau], A.V[tau] = blocks
-                elif role == 2:
-                    A.U[tau], A.V[tau], A.B12[tau], A.B21[tau] = blocks
-                else:
-                    raise ValueError(f"unexpected role {role} at node {tau}")
-            return A
-        if role == 10:
-            inv = HbsInverse(tree=tree, E={}, F={}, G={1: blocks[0]}, Dhat={})
-            for _ in range(2, tree.node_count + 1):
-                tau, role, blocks = _read_record(f)
-                if role != 9:
-                    raise ValueError(f"unexpected role {role} at node {tau}")
-                inv.E[tau], inv.F[tau], inv.G[tau], inv.Dhat[tau] = blocks
-            return inv
-        raise ValueError(f"unknown role {role} at node 1")
+        if n >> levels == 0:
+            raise ValueError(f"header: N = {n} cannot fill the 2^{levels} leaves "
+                             f"of a depth-{levels} tree")
+        matrix_root, inverse_root = _role(levels, 1, False), _role(levels, 1, True)
+        role, blocks = r.record(1, (matrix_root, inverse_root))
+        inverse = role == inverse_root
+        names = ("E", "F", "G", "Dhat") if inverse else ("D", "U", "V", "B12", "B21")
+        stores = {name: {} for name in names}
+        for tau in range(1, 2 << levels):
+            if tau > 1:
+                role, blocks = r.record(tau, (_role(levels, tau, inverse),))
+            for name, block in blocks.items():
+                stores[name][tau] = block
+        r.end()
+    # the file held a record per node, so the tree is no larger than the file
+    tree = tree_with_levels(n, levels)
+    if inverse:
+        out = HbsInverse(tree=tree, **stores)
+        errors = _inverse_shape_errors(out)
+    else:
+        out = HbsMatrix(tree=tree, **stores)
+        errors = validate(out)
+    if errors:
+        raise ValueError(f"inconsistent HBS1 file: {'; '.join(errors[:3])}")
+    return out

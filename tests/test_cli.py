@@ -144,3 +144,26 @@ def test_benchmark_small_sizes(tmp_path, capsys):
 def test_benchmark_bad_sizes_exits_2(capsys):
     assert cli.main(["benchmark", "--sizes", "abc"]) == 2
     assert cli.main(["benchmark", "--sizes", ","]) == 2
+
+
+def test_solve_nan_rhs_exits_2(tmp_path, capsys):
+    grid_path = discretize(tmp_path)
+    rhs = np.ones(160)
+    rhs[42] = np.nan
+    np.savetxt(tmp_path / "rhs.txt", rhs)
+    sol = tmp_path / "q.csv"
+    assert cli.main(["solve", grid_path, str(tmp_path / "rhs.txt"), "-o", str(sol)]) == 2
+    assert "non-finite entries, the first at index 42" in capsys.readouterr().err
+    assert not sol.exists()
+
+
+def test_solve_grid_with_inf_coordinate_exits_2(tmp_path, capsys):
+    grid_path = discretize(tmp_path)
+    lines = open(grid_path).read().splitlines()
+    fields = lines[7].split(",")
+    fields[1] = "inf"
+    lines[7] = ",".join(fields)
+    open(grid_path, "w").write("\n".join(lines) + "\n")
+    assert cli.main(["solve", grid_path, "harmonic:3,0",
+                     "-o", str(tmp_path / "q.csv")]) == 2
+    assert "non-finite or unreadable 'x' in data row 7" in capsys.readouterr().err

@@ -131,6 +131,28 @@ def test_proxy_compress_factors_each_side_once(monkeypatch):
     assert len(calls) == 2 * (Ah.tree.node_count - 1)
 
 
+def test_proxy_compress_forms_each_id_once(monkeypatch):
+    # the lower-rank side is pinned to the larger rank; its coefficients
+    # are formed only at that rank, never at its own adaptive rank first
+    import hbsolve.compression as compression
+    from hbsolve import lowrank
+
+    ranks, formed = [], []
+    id_row, form = compression.id_row, lowrank._id_from_factor
+
+    def recording_id_row(B, tol, rank=None):
+        dec = id_row(B, tol, rank)
+        ranks.append(dec.rank)
+        return dec
+
+    monkeypatch.setattr(compression, "id_row", recording_id_row)
+    monkeypatch.setattr(lowrank, "_id_from_factor",
+                        lambda R, piv, k: formed.append(k) or form(R, piv, k))
+    Ah, _ = compress(star_grid(64, 10), CompressionConfig(mode="proxy"))
+    assert any(r != c for r, c in zip(ranks[::2], ranks[1::2]))
+    assert sorted(formed) == sorted(2 * [Ah.rank_of(tau) for tau in Ah.U])
+
+
 def test_proxy_matches_dense_expansion():
     grid = star_grid(64, 10)
     A = hb.assemble_dlp(grid)

@@ -153,6 +153,10 @@ def test_validate_detects_defects(rng):
     B.D[B.tree.node_count][0, 0] = np.nan
     assert any("non-finite" in s for s in hb.validate(B))
 
+    C = random_hbs(rng)
+    C.V[3] = np.hstack([C.V[3], C.V[3][:, :1]])  # non-leaf V one column wider
+    assert "parent 3: U rank" in " ".join(hb.validate(C))
+
 
 def test_validate_checks_interpolatory_identity():
     _, Ah = compressed_circle(32)

@@ -179,3 +179,105 @@ def test_dense_dump_roundtrip(tmp_path):
     path.write_bytes(b"XXXX" + bytes(12))
     with pytest.raises(ValueError, match="magic"):
         quad.load_dense(path)
+
+
+# -- kernel blocks against the dense-difference formulation ------------------
+
+
+def einsum_dlp_block(grid, rows, cols):
+    """Reference: (n, m, 2) differences reduced with einsum, self pairs by mask."""
+    d = grid.points[rows][:, None, :] - grid.points[cols][None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    num = np.einsum("jk,ijk->ij", -grid.normals[cols], d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        K = num / (2 * np.pi * r2)
+    same = rows[:, None] == cols[None, :]
+    K[same] = np.broadcast_to(grid.curvature[cols] / (4 * np.pi), K.shape)[same]
+    return K
+
+
+def einsum_nystrom_block(grid, rows, cols):
+    A = einsum_dlp_block(grid, rows, cols) * grid.weights[cols][None, :]
+    A[rows[:, None] == cols[None, :]] += 0.5
+    return A
+
+
+def index_sets(rng, n):
+    """Row/column index pairs: overlapping, disjoint, duplicated, empty."""
+    idx = np.arange(n)
+    yield idx, idx
+    yield rng.permutation(n)[:70], rng.permutation(n)[:90]
+    yield idx[:60], idx[100:180]
+    yield rng.integers(0, 40, 50), rng.integers(0, 40, 65)  # many repeats
+    yield np.array([5, 5, 7, 5]), np.array([7, 5, 5, 9, 7])
+    yield idx[:0], idx[:30]
+    yield idx[:30], idx[:0]
+
+
+def assert_close_blocks(got, ref):
+    assert got.shape == ref.shape
+    if ref.size:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_kernel_blocks_match_einsum_reference():
+    grid = star_grid(24, 10)  # N = 240
+    rng = np.random.default_rng(11)
+    for rows, cols in index_sets(rng, grid.size):
+        assert_close_blocks(quad.nystrom_block(grid, rows, cols),
+                            einsum_nystrom_block(grid, rows, cols))
+        assert_close_blocks(quad.dlp_kernel_block(grid, rows, cols),
+                            einsum_dlp_block(grid, rows, cols))
+
+
+def test_repeated_indices_all_get_the_limit():
+    grid = star_grid(24, 10)
+    rows, cols = np.array([3, 3, 8]), np.array([3, 8, 3, 3])
+    A = quad.nystrom_block(grid, rows, cols)
+    limit = grid.curvature / (4 * np.pi) * grid.weights + 0.5
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if r == c:
+                assert A[i, j] == limit[r]
+
+
+def test_potential_matches_einsum_reference():
+    grid = star_grid(24, 10)
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal(grid.size)
+    z = quad.interior_probe_points(grid, count=8)
+    d = z[:, None, :] - grid.points[None, :, :]
+    K = np.einsum("jk,ijk->ij", -grid.normals, d) / (2 * np.pi * np.einsum("ijk,ijk->ij", d, d))
+    wq = grid.weights * q
+    scale = np.abs(K) @ np.abs(wq)
+    assert np.all(np.abs(quad.eval_dlp_potential(grid, q, z) - K @ wq) <= 1e-14 * scale)
+
+
+def test_proxy_blocks_match_einsum_reference():
+    grid = star_grid(24, 10)
+    kernel = hb.NystromDlpKernel(grid)
+    rng = np.random.default_rng(13)
+    theta = 2 * np.pi * np.arange(50) / 50
+    proxy = 0.1 + 1.7 * np.column_stack([np.cos(theta), np.sin(theta)])
+    for idx in (rng.permutation(grid.size)[:64], rng.integers(0, 30, 40), np.arange(0)):
+        d = grid.points[idx][:, None, :] - proxy[None, :, :]
+        r2 = np.einsum("ijk,ijk->ij", d, d)
+        assert_close_blocks(kernel.row_proxy(idx, proxy), 0.5 * np.log(r2))
+        ref = (np.einsum("ik,ijk->ij", grid.normals[idx], d) / (2 * np.pi * r2)
+               * grid.weights[idx][:, None])
+        assert_close_blocks(kernel.col_proxy(idx, proxy), ref)
+
+
+def test_coincident_nodes_raise_in_any_block():
+    grid = star_grid(24, 10)
+    grid.points[5] = grid.points[17]
+    for rows, cols in ((np.arange(10), np.arange(15, 20)),   # no self pair
+                       (np.arange(20), np.arange(20)),        # self pairs too
+                       (np.array([17, 5]), np.array([5]))):
+        with pytest.raises(quad.DegenerateGridError):
+            quad.nystrom_block(grid, rows, cols)
+        with pytest.raises(quad.DegenerateGridError):
+            quad.dlp_kernel_block(grid, rows, cols)
+    K = quad.dlp_kernel_block(grid, np.arange(20), np.arange(20), check_coincident=False)
+    assert not np.isfinite(K[5, 17]) and not np.isfinite(K[17, 5])
+    assert K[5, 5] == grid.curvature[5] / (4 * np.pi)

@@ -100,3 +100,102 @@ def test_header_records_shape(tmp_path, rng):
     magic, n, levels, target = struct.unpack("<4sIII", path.read_bytes()[:16])
     assert magic == HBS_MAGIC
     assert (n, levels, target) == (100, A.tree.levels, 30)
+
+
+# -- malformed files ----------------------------------------------------------
+
+
+def record_layout(data):
+    """(offset, node, [offset of each block's shape]) for every record."""
+    import struct
+
+    out, at = [], 16
+    while at < len(data):
+        node, _, count = struct.unpack_from("<III", data, at)
+        start, at, shapes = at, at + 12, []
+        for _ in range(count):
+            rows, cols = struct.unpack_from("<II", data, at)
+            shapes.append(at)
+            at += 8 + 8 * rows * cols
+        out.append((start, node, shapes))
+    return out
+
+
+@pytest.fixture
+def saved_pair(tmp_path, rng):
+    """Bytes of a saved HBS matrix and of its saved inverse."""
+    A = random_hbs(rng, n=100, target_leaf=30)
+    for tau in A.D:
+        A.D[tau] += 10 * np.eye(A.D[tau].shape[0])
+    p1, p2 = tmp_path / "a.hbs", tmp_path / "i.hbs"
+    save_hbs(p1, A)
+    save_inverse(p2, hbs_invert(A))
+    return p1.read_bytes(), p2.read_bytes()
+
+
+def load_bytes(tmp_path, data):
+    path = tmp_path / "x.hbs"
+    path.write_bytes(bytes(data))
+    return load(path)
+
+
+def test_truncation_names_node_and_offset(tmp_path, saved_pair):
+    for data in saved_pair:
+        layout = record_layout(data)
+        start, node, shapes = layout[len(layout) // 2]
+        cuts = {10: None, 16 + 5: 1, start + 3: node, shapes[-1] + 4: node,
+                shapes[-1] + 20: node, len(data) - 1: layout[-1][1]}
+        for cut, node in cuts.items():
+            with pytest.raises(ValueError, match="truncated") as err:
+                load_bytes(tmp_path, data[:cut])
+            assert "at byte" in str(err.value)
+            if node is not None:
+                assert f"of node {node} " in str(err.value)
+
+
+def test_trailing_byte_is_rejected(tmp_path, saved_pair):
+    for data in saved_pair:
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_bytes(tmp_path, data + b"\0")
+
+
+def test_records_out_of_order_are_rejected(tmp_path, saved_pair):
+    for data in saved_pair:
+        layout = record_layout(data)
+        (a, _, _), (b, _, _), (c, _, _) = layout[1:4]  # nodes 2, 3, 4
+        swapped = data[:a] + data[b:c] + data[a:b] + data[c:]
+        with pytest.raises(ValueError, match="expected node 2"):
+            load_bytes(tmp_path, swapped)
+
+
+def test_bad_block_shape_is_rejected(tmp_path, saved_pair):
+    for data in saved_pair:
+        # a leaf's first block re-declared as one row of the same entries:
+        # the stream stays aligned, only the shape is wrong
+        start, node, shapes = record_layout(data)[-1]
+        rows, cols = np.frombuffer(data, "<u4", 2, shapes[0])
+        bad = bytearray(data)
+        bad[shapes[0] : shapes[0] + 8] = np.array([1, rows * cols], "<u4").tobytes()
+        with pytest.raises(ValueError, match=f"(node|leaf) {node}: \\w+ shape"):
+            load_bytes(tmp_path, bad)
+
+
+def test_bad_block_count_and_non_finite_matrix(tmp_path, saved_pair):
+    data = saved_pair[0]
+    start, node, shapes = record_layout(data)[-1]
+    bad = bytearray(data)
+    bad[start + 8 : start + 12] = (4).to_bytes(4, "little")
+    with pytest.raises(ValueError, match="3 blocks, the record says 4"):
+        load_bytes(tmp_path, bad)
+    # a matrix load runs validate, so a NaN entry is caught
+    bad = bytearray(data)
+    bad[shapes[0] + 8 : shapes[0] + 16] = np.array([np.nan]).tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        load_bytes(tmp_path, bad)
+
+
+def test_header_depth_must_fit_n(tmp_path, saved_pair):
+    bad = bytearray(saved_pair[1])
+    bad[8:12] = (2**32 - 1).to_bytes(4, "little")  # levels
+    with pytest.raises(ValueError, match="cannot fill"):
+        load_bytes(tmp_path, bad)
