@@ -63,7 +63,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="grid CSV + right-hand side -> solution CSV")
     p.add_argument("grid", help="grid CSV from `discretize`")
-    p.add_argument("rhs", help="right-hand-side file, or harmonic:X,Y for the "
+    p.add_argument("rhs", help="right-hand-side file (N rows, one column per "
+                               "right-hand side), or harmonic:X,Y for the "
                                "trace of log|x - (X,Y)|")
     p.add_argument("-o", "--output", default="solution.csv", help="solution CSV")
     p.add_argument("--report", default=None, help="write the run report JSON here")
@@ -112,10 +113,10 @@ def _load_rhs(spec, grid):
             raise ValueError(f"bad harmonic rhs spec {spec!r}; expected harmonic:X,Y")
         source = np.array([x0, y0])
         return quadrature.harmonic_trace(grid, source), source
-    rhs = np.loadtxt(spec, ndmin=1)
-    if rhs.shape != (grid.size,):
-        raise ValueError(f"rhs has {rhs.shape[0]} entries, grid has {grid.size}")
-    return rhs, None
+    rhs = np.loadtxt(spec, ndmin=2)  # one column per right-hand side
+    if rhs.shape[0] != grid.size:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows, grid has {grid.size} nodes")
+    return (rhs[:, 0] if rhs.shape[1] == 1 else rhs), None
 
 
 def _config_from(args, mode=None):
@@ -150,7 +151,8 @@ def cmd_solve(args):
         report["interior_error"] = float(f"{np.max(np.abs(u - exact)):.3g}")
 
     with open(args.output, "w") as f:
-        f.writelines(f"{v:.17g}\n" for v in q)
+        f.writelines(" ".join(f"{v:.17g}" for v in row) + "\n"
+                     for row in q.reshape(len(q), -1))
     if args.report:
         with open(args.report, "w") as f:
             json.dump(report, f, indent=2)

@@ -259,15 +259,20 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
                    estimate_error=False, seed=0):
     """End-to-end pipeline: compress, invert, reformat the inverse, apply.
 
-    Returns (solution, report); the report carries per-step timings,
-    per-level rank statistics, and conditioning telemetry, all JSON-safe.
+    rhs is one right-hand side (N,) or a block (N, m) of them, all served
+    by the same factorization.  Returns (solution of rhs's shape, report);
+    the report carries per-step timings, per-level rank statistics, and
+    conditioning telemetry, all JSON-safe.
     """
     rhs = np.asarray(rhs, float)
-    if rhs.shape != (grid.size,):
-        raise ValueError(f"rhs length {rhs.shape} does not match grid size {grid.size}")
-    bad = np.flatnonzero(~np.isfinite(rhs))
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:
+        raise ValueError(f"rhs of shape {rhs.shape} does not match grid size {grid.size}: "
+                         f"expected ({grid.size},) or ({grid.size}, m)")
+    bad = np.argwhere(~np.isfinite(rhs.reshape(grid.size, -1)))
     if bad.size:
-        raise ValueError(f"rhs has {bad.size} non-finite entries, the first at index {bad[0]}")
+        row, col = bad[0]
+        raise ValueError(f"rhs has {len(bad)} non-finite entries, "
+                         f"the first at index {row} of column {col}")
 
     t0 = time.monotonic()
     A, skel = compress(grid, cfg)

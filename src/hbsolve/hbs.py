@@ -16,6 +16,7 @@ inversion relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,37 +52,61 @@ class HbsMatrix:
         return sum(b.size for b in blocks)
 
 
-def hbs_matvec(A: HbsMatrix, q):
-    """u = A @ q through the telescoping factorization, O(sum n_tau k_tau)."""
-    q = np.asarray(q, float)
-    tree = A.tree
-    if q.shape != (tree.n,):
-        raise ValueError(f"expected vector of length {tree.n}, got shape {q.shape}")
+def _telescope(tree, x, up, couple, down, diag):
+    """y = diag x + down (couple (up* x)) in one traversal of the tree, for x
+    of shape (N,) or (N, m); y has x's shape and each node costs one product.
+
+    Upward, a node maps its rows of x (leaf) or its children's stacked values
+    through up[tau].T.  couple(tau, z, k1, out) writes the children's incoming
+    values from their stacked outgoing values z (the first k1 rows are the
+    left child's); at the root it acts on level 1.  Downward, each node adds
+    down[tau] @ (its incoming values), and leaves add diag[tau] @ x[rows].
+    One contiguous array holds each level's values, children in adjacent rows.
+    """
+    x = np.asarray(x, float)
+    if x.ndim not in (1, 2) or x.shape[0] != tree.n:
+        raise ValueError(f"expected shape ({tree.n},) or ({tree.n}, m), got {x.shape}")
     if tree.levels == 0:
-        return A.D[1] @ q
+        return diag[1] @ x
 
-    qhat = {}
-    for tau in tree.leaves:
-        qhat[tau] = A.V[tau].T @ q[tree.indices(tau)]
-    for level in range(tree.levels - 1, 0, -1):
-        for tau in tree.nodes_at_level(level):
-            qhat[tau] = A.V[tau].T @ np.concatenate([qhat[2 * tau], qhat[2 * tau + 1]])
+    offsets, outgoing = {}, {}
+    for level in range(tree.levels, 0, -1):
+        nodes = tree.nodes_at_level(level)
+        off, below = [0, *accumulate(up[t].shape[1] for t in nodes)], offsets.get(level + 1)
+        offsets[level], outgoing[level] = off, np.empty((off[-1], *x.shape[1:]))
+        for i, tau in enumerate(nodes):
+            src = (x[slice(*tree.ranges[tau])] if level == tree.levels
+                   else outgoing[level + 1][below[2 * i] : below[2 * i + 2]])
+            np.matmul(up[tau].T, src, out=outgoing[level][off[i] : off[i + 1]])
 
-    # root: the children see each other only through the root's B pair
-    uhat = {2: A.B12[1] @ qhat[3], 3: A.B21[1] @ qhat[2]}
+    incoming = np.empty_like(outgoing[1])
+    couple(1, outgoing[1], offsets[1][1], incoming)
     for level in range(1, tree.levels):
-        for tau in tree.nodes_at_level(level):
-            s1, s2 = 2 * tau, 2 * tau + 1
-            local = A.U[tau] @ uhat[tau]
-            k1 = qhat[s1].shape[0]
-            uhat[s1] = A.B12[tau] @ qhat[s2] + local[:k1]
-            uhat[s2] = A.B21[tau] @ qhat[s1] + local[k1:]
+        off, below = offsets[level], offsets[level + 1]
+        z, out = outgoing[level + 1], np.empty_like(outgoing[level + 1])
+        for i, tau in enumerate(tree.nodes_at_level(level)):
+            a, mid, b = below[2 * i : 2 * i + 3]
+            couple(tau, z[a:b], mid - a, out[a:b])
+            out[a:b] += down[tau] @ incoming[off[i] : off[i + 1]]
+        incoming = out
 
-    u = np.empty(tree.n)
-    for tau in tree.leaves:
-        idx = tree.indices(tau)
-        u[idx] = A.U[tau] @ uhat[tau] + A.D[tau] @ q[idx]
-    return u
+    y = np.empty(x.shape)
+    off = offsets[tree.levels]
+    for i, tau in enumerate(tree.leaves):
+        rows = slice(*tree.ranges[tau])
+        np.matmul(down[tau], incoming[off[i] : off[i + 1]], out=y[rows])
+        y[rows] += diag[tau] @ x[rows]
+    return y
+
+
+def hbs_matvec(A: HbsMatrix, q):
+    """u = A @ q for q of shape (N,) or (N, m), O(sum n_tau k_tau) per column."""
+
+    def couple(tau, z, k1, out):
+        np.matmul(A.B12[tau], z[k1:], out=out[:k1])
+        np.matmul(A.B21[tau], z[:k1], out=out[k1:])
+
+    return _telescope(A.tree, q, A.V, couple, A.U, A.D)
 
 
 def hbs_transpose(A: HbsMatrix) -> HbsMatrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .hbs import HbsMatrix
+from .hbs import HbsMatrix, _telescope
 from .tree import IndexTree
 
 COND_WARN_THRESHOLD = 1e13
@@ -192,36 +192,11 @@ def hbs_invert(A: HbsMatrix) -> HbsInverse:
 
 
 def apply_inverse(inv: HbsInverse, u):
-    """q = A^-1 u from the factored inverse; upward pass through F, dense
-    root solve, downward pass through E and G.  Cost O(N k)."""
-    u = np.asarray(u, float)
-    tree = inv.tree
-    if u.shape != (tree.n,):
-        raise ValueError(f"expected vector of length {tree.n}, got shape {u.shape}")
-    if tree.levels == 0:
-        return inv.G[1] @ u
-
-    uhat = {}
-    for tau in tree.leaves:
-        uhat[tau] = inv.F[tau].T @ u[tree.indices(tau)]
-    for level in range(tree.levels - 1, 0, -1):
-        for tau in tree.nodes_at_level(level):
-            uhat[tau] = inv.F[tau].T @ np.concatenate([uhat[2 * tau], uhat[2 * tau + 1]])
-
-    top = inv.G[1] @ np.concatenate([uhat[2], uhat[3]])
-    qhat = {2: top[: uhat[2].shape[0]], 3: top[uhat[2].shape[0] :]}
-    for level in range(1, tree.levels):
-        for tau in tree.nodes_at_level(level):
-            s1, s2 = 2 * tau, 2 * tau + 1
-            pair = inv.E[tau] @ qhat[tau] + inv.G[tau] @ np.concatenate([uhat[s1], uhat[s2]])
-            qhat[s1] = pair[: uhat[s1].shape[0]]
-            qhat[s2] = pair[uhat[s1].shape[0] :]
-
-    q = np.empty(tree.n)
-    for tau in tree.leaves:
-        idx = tree.indices(tau)
-        q[idx] = inv.E[tau] @ qhat[tau] + inv.G[tau] @ u[idx]
-    return q
+    """q = A^-1 u for u of shape (N,) or (N, m): upward pass through F, dense
+    root solve, downward pass through E and G.  Cost O(N k) per column."""
+    return _telescope(inv.tree, u, inv.F,
+                      lambda tau, z, k1, out: np.matmul(inv.G[tau], z, out=out),
+                      inv.E, inv.G)
 
 
 def inverse_transpose(inv: HbsInverse) -> HbsInverse:

@@ -55,6 +55,47 @@ def random_block_separable(rng, p=4, n=6, k=2):
     return BlockSeparableMatrix(D=D, U=U, V=V, core=core)
 
 
+# block widths the (N, m) tests run: one column, a few, and ROADMAP's 32
+BLOCK_WIDTHS = (1, 2, 7, 32)
+
+
+def depth_zero_hbs(rng, n=5):
+    """A matrix too small to split: the tree has one node, D[1] is all of it."""
+    tree = hb.build_tree(n, 10)
+    D = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    return hb.HbsMatrix(tree=tree, D={1: D}, U={}, V={}, B12={}, B21={})
+
+
+def assert_block_matches_columns(apply, X, tol=1e-12):
+    """apply(X) for an (N, m) block has m columns, and each matches apply on
+    that column of X alone to tol in relative 2-norm; returns apply(X)."""
+    Y = apply(X)
+    assert Y.ndim == 2 and Y.shape[1] == X.shape[1]
+    for j in range(X.shape[1]):
+        y = apply(X[:, j])
+        assert y.shape == Y.shape[:1]
+        assert np.linalg.norm(Y[:, j] - y) <= tol * np.linalg.norm(y), j
+    return Y
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def smooth_star_600():
+    """Smooth star, N = 600, proxy-compressed: (grid, HbsMatrix, HbsInverse)."""
+    grid = star_grid(60, 10)
+    A, _ = hb.compress(grid, hb.CompressionConfig(mode="proxy"))
+    return grid, A, hb.hbs_invert(A)
+
+
+@pytest.fixture(scope="session")
+def corner_star_8000():
+    """Corner star graded 5 levels deep into each corner, N = 8000,
+    proxy-compressed: (grid, HbsMatrix, HbsInverse)."""
+    c = hb.CornerStar()
+    grid = hb.build_grid(c, hb.decompose(c, 40, 5), 16)
+    A, _ = hb.compress(grid, hb.CompressionConfig(mode="proxy"))
+    return grid, A, hb.hbs_invert(A)

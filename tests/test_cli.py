@@ -167,3 +167,52 @@ def test_solve_grid_with_inf_coordinate_exits_2(tmp_path, capsys):
     assert cli.main(["solve", grid_path, "harmonic:3,0",
                      "-o", str(tmp_path / "q.csv")]) == 2
     assert "non-finite or unreadable 'x' in data row 7" in capsys.readouterr().err
+
+
+def test_solve_multi_column_rhs_matches_column_solves(tmp_path):
+    grid_path = discretize(tmp_path)
+    grid = hb.load_grid_csv(grid_path)
+    F = np.column_stack([hb.harmonic_trace(grid, np.array(x0))
+                         for x0 in ((3.0, 0.0), (0.0, 2.5), (-2.0, -2.0))])
+    np.savetxt(tmp_path / "rhs3.txt", F)
+    sol = tmp_path / "q3.csv"
+    assert cli.main(["solve", grid_path, str(tmp_path / "rhs3.txt"), "-o", str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    assert len(lines) == 160
+    assert all(tok == f"{float(tok):.17g}" for line in lines for tok in line.split(" "))
+    Q = np.loadtxt(sol)
+    assert Q.shape == (160, 3)
+    for j in range(3):
+        np.savetxt(tmp_path / "rhs1.txt", F[:, j])
+        one = tmp_path / "q1.csv"
+        assert cli.main(["solve", grid_path, str(tmp_path / "rhs1.txt"), "-o", str(one)]) == 0
+        q = np.loadtxt(one)
+        assert q.shape == (160,)
+        assert np.linalg.norm(Q[:, j] - q) <= 1e-12 * np.linalg.norm(q)
+
+
+def test_solve_one_column_output_format(tmp_path, monkeypatch):
+    import hbsolve.compression
+
+    grid_path = discretize(tmp_path)
+    grid = hb.load_grid_csv(grid_path)
+    f = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
+    np.savetxt(tmp_path / "rhs.txt", f)
+    sol = tmp_path / "q.csv"
+    shapes, solve = [], hbsolve.compression.solve_workflow
+    monkeypatch.setattr(hbsolve.compression, "solve_workflow",
+                        lambda g, cfg, rhs, **kw: shapes.append(rhs.shape) or solve(g, cfg, rhs, **kw))
+    assert cli.main(["solve", grid_path, str(tmp_path / "rhs.txt"), "-o", str(sol)]) == 0
+    assert shapes == [(160,)]  # a one-column file is one right-hand side
+    monkeypatch.undo()
+    # one value per line, as a 1-D solve with the CLI's default settings gives it
+    q, _ = hb.solve_workflow(grid, hb.CompressionConfig(mode="proxy"),
+                             np.loadtxt(tmp_path / "rhs.txt"))
+    assert sol.read_text() == "".join(f"{v:.17g}\n" for v in q)
+
+
+def test_solve_rhs_row_count_mismatch_exits_2(tmp_path, capsys):
+    grid_path = discretize(tmp_path)
+    np.savetxt(tmp_path / "rhs.txt", np.ones((7, 3)))
+    assert cli.main(["solve", grid_path, str(tmp_path / "rhs.txt")]) == 2
+    assert "rhs has 7 rows, grid has 160 nodes" in capsys.readouterr().err

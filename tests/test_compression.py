@@ -213,6 +213,43 @@ def test_solve_workflow_rhs_length_check():
         solve_workflow(grid, CompressionConfig(), np.zeros(3))
 
 
+def test_solve_workflow_block_rhs():
+    grid = star_grid(48, 10)  # N = 480
+    sources = [(3.0, 0.0), (0.5, 2.5), (-2.2, -2.0)]
+    F = np.column_stack([hb.harmonic_trace(grid, np.array(x0)) for x0 in sources])
+    cfg = CompressionConfig(mode="proxy")
+    Q, report = solve_workflow(grid, cfg, F, estimate_error=True)
+    assert Q.shape == F.shape
+    z = hb.interior_probe_points(grid, count=10)
+    for j, x0 in enumerate(sources):
+        q, _ = solve_workflow(grid, cfg, F[:, j])
+        assert np.linalg.norm(Q[:, j] - q) <= 1e-12 * np.linalg.norm(q)
+        exact = np.log(np.linalg.norm(z - np.array(x0), axis=1))
+        assert np.max(np.abs(hb.eval_dlp_potential(grid, Q[:, j], z) - exact)) < 1e-8
+    # the report describes the factorization, not the right-hand sides
+    _, single = solve_workflow(grid, cfg, F[:, 0], estimate_error=True)
+    assert set(report) == set(single)
+    assert report["ranks"] == single["ranks"]
+    assert report["error_estimate"] == single["error_estimate"]
+
+
+def test_solve_workflow_block_rhs_names_bad_row_and_column():
+    grid = circle_grid(16, 10)
+    F = np.ones((grid.size, 3))
+    F[17, 2] = np.inf
+    F[40, 0] = np.nan
+    with pytest.raises(ValueError, match="2 non-finite entries, the first at index 17 of column 2"):
+        solve_workflow(grid, CompressionConfig(), F)
+
+
+def test_solve_workflow_rejects_other_shapes():
+    grid = circle_grid(16, 10)
+    n = grid.size
+    for bad in (np.zeros((n, 2, 1)), np.zeros((2, n)), np.zeros((n + 1, 2)), np.float64(0.0)):
+        with pytest.raises(ValueError, match=rf"expected \({n},\) or \({n}, m\)"):
+            solve_workflow(grid, CompressionConfig(), bad)
+
+
 def test_corner_grading_improves_solution():
     c = hb.CornerStar()
     src = np.array([3.0, 0.0])

@@ -3,7 +3,13 @@ import pytest
 
 import hbsolve as hb
 from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis
-from conftest import circle_grid, random_hbs
+from conftest import (
+    BLOCK_WIDTHS,
+    assert_block_matches_columns,
+    circle_grid,
+    depth_zero_hbs,
+    random_hbs,
+)
 
 
 def compressed_circle(n_panels=64, target_leaf=64):
@@ -174,3 +180,38 @@ def test_depth_zero_matvec(rng):
     assert np.allclose(hb.hbs_matvec(A, q), D @ q)
     assert np.array_equal(hb.expand_dense(A), D)
     assert hb.validate(A) == []
+
+
+def test_block_matvec_matches_columns(rng, smooth_star_600, corner_star_8000):
+    for A in (random_hbs(rng), smooth_star_600[1], corner_star_8000[1], depth_zero_hbs(rng)):
+        n = A.tree.n
+        for m in BLOCK_WIDTHS:
+            X = rng.standard_normal((n, m))
+            assert assert_block_matches_columns(lambda x: hb.hbs_matvec(A, x), X).shape == X.shape
+        assert hb.hbs_matvec(A, np.zeros((n, 0))).shape == (n, 0)
+
+
+def test_block_matvec_matches_expand_dense(rng, smooth_star_600):
+    for A in (random_hbs(rng), smooth_star_600[1], depth_zero_hbs(rng)):
+        E = hb.expand_dense(A)
+        for m in BLOCK_WIDTHS:
+            X = rng.standard_normal((A.tree.n, m))
+            ref = E @ X
+            assert np.linalg.norm(hb.hbs_matvec(A, X) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_block_matvec_rejects_wrong_shapes(rng):
+    for A in (random_hbs(rng), depth_zero_hbs(rng)):
+        n = A.tree.n
+        for bad in (np.zeros(n + 1), np.zeros((n, 3, 1)), np.zeros((3, n)),
+                    np.zeros((n + 1, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"\({n},\) or \({n}, m\)"):
+                hb.hbs_matvec(A, bad)
+
+
+def test_potential_of_a_block_matches_columns(rng, smooth_star_600):
+    grid = smooth_star_600[0]
+    targets = hb.interior_probe_points(grid, count=10)
+    for m in BLOCK_WIDTHS:
+        assert_block_matches_columns(lambda q: hb.eval_dlp_potential(grid, q, targets),
+                                     rng.standard_normal((grid.size, m)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hbsolve as hb
 from hbsolve.inversion import (
@@ -12,7 +13,15 @@ from hbsolve.inversion import (
     inverse_transpose,
     reformat_orthonormal,
 )
-from conftest import circle_grid, random_block_separable, random_hbs, star_grid
+from conftest import (
+    BLOCK_WIDTHS,
+    assert_block_matches_columns,
+    circle_grid,
+    depth_zero_hbs,
+    random_block_separable,
+    random_hbs,
+    star_grid,
+)
 
 
 def compressed_circle(n_panels, target_leaf=64):
@@ -133,6 +142,61 @@ def test_apply_inverse_dimension_check(rng):
     inv = hbs_invert(A)
     with pytest.raises(ValueError):
         apply_inverse(inv, np.zeros(7))
+
+
+def conditioned_hbs(rng, **kwargs):
+    """random_hbs with U = V orthonormal, leaf blocks I + (norm 0.1) and B
+    blocks of norm <= 0.1, so every block the inversion meets is near I."""
+    A = random_hbs(rng, **kwargs)
+    for tau in A.U:
+        A.U[tau] = A.V[tau] = np.linalg.qr(A.U[tau])[0]
+    for tau, D in A.D.items():
+        A.D[tau] = np.eye(len(D)) + 0.1 * D / np.linalg.norm(D, 2)
+    for store in (A.B12, A.B21):
+        for tau, B in store.items():
+            store[tau] = 0.1 * B / max(np.linalg.norm(B, 2), 1.0)
+    return A
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 600), st.integers(2, 80), st.integers(1, 8),
+       st.sampled_from((0, *BLOCK_WIDTHS)), st.integers(0, 10**6))
+def test_block_apply_matches_columns_on_random_hbs(n, target_leaf, max_rank, m, seed):
+    rng = np.random.default_rng(seed)
+    A = conditioned_hbs(rng, n=n, target_leaf=target_leaf, max_rank=max_rank)
+    inv = hbs_invert(A)
+    X = rng.standard_normal((n, m))
+    for apply in (lambda x: apply_inverse(inv, x), lambda x: hb.hbs_matvec(A, x)):
+        assert assert_block_matches_columns(apply, X).shape == (n, m)
+
+
+def test_block_apply_inverse_matches_columns(rng, smooth_star_600, corner_star_8000):
+    invs = [smooth_star_600[2], corner_star_8000[2], hbs_invert(depth_zero_hbs(rng))]
+    for inv in invs:
+        n = inv.tree.n
+        for m in BLOCK_WIDTHS:
+            X = rng.standard_normal((n, m))
+            Q = assert_block_matches_columns(lambda x: apply_inverse(inv, x), X)
+            assert Q.shape == X.shape
+        assert apply_inverse(inv, np.zeros((n, 0))).shape == (n, 0)
+
+
+def test_block_apply_inverse_rejects_wrong_shapes(rng):
+    for inv in (hbs_invert(random_hbs(rng)), hbs_invert(depth_zero_hbs(rng))):
+        n = inv.tree.n
+        for bad in (np.zeros(n + 1), np.zeros((n, 3, 1)), np.zeros((3, n)),
+                    np.zeros((n + 1, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"\({n},\) or \({n}, m\)"):
+                apply_inverse(inv, bad)
+
+
+def test_bs_inverse_applies_blocks(rng):
+    A = random_block_separable(rng, p=5, n=7, k=2)
+    dense, inv = A.to_dense(), bs_invert(A)
+    for m in (0, *BLOCK_WIDTHS):
+        X = rng.standard_normal((35, m))
+        Q = assert_block_matches_columns(inv.apply, X)
+        assert np.linalg.norm(Q - np.linalg.solve(dense, X)) <= 1e-10 * max(np.linalg.norm(X), 1.0)
 
 
 def test_hbs_invert_names_singular_node(rng):
