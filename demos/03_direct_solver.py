@@ -28,8 +28,7 @@ q, report = hb.solve_workflow(grid, cfg, rhs, estimate_error=True)
 
 print(f"N = {report['n']}, {report['levels']} tree levels, {report['mode']} mode")
 t = report["timings"]
-print(f"timings: compress {t['compress']}s, invert {t['invert']}s, "
-      f"reformat {t['reformat']}s, apply {t['apply']}s")
+print(f"timings: compress {t['compress']}s, invert {t['invert']}s, apply {t['apply']}s")
 print(f"conditioning: worst reduced block {report['condition']['max_cond_Dtilde']:g}, "
       f"worst core {report['condition']['max_cond_core']:g}")
 est = report["error_estimate"]

@@ -33,7 +33,6 @@ _EXPORTS = {
     # low-rank factorizations
     "InterpolatoryDecomposition": "lowrank",
     "id_row": "lowrank",
-    "id_col": "lowrank",
     # tree and HBS container
     "IndexTree": "tree",
     "build_tree": "tree",

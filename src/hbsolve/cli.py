@@ -158,7 +158,7 @@ def cmd_solve(args):
             json.dump(report, f, indent=2)
     t = report["timings"]
     line = (f"solved N={report['n']} ({report['mode']}): compress {t['compress']}s, "
-            f"invert {t['invert']}s, reformat {t['reformat']}s, apply {t['apply']}s")
+            f"invert {t['invert']}s, apply {t['apply']}s")
     if "interior_error" in report:
         line += f", interior error {report['interior_error']:g}"
     print(line)
@@ -212,15 +212,14 @@ def cmd_benchmark(args):
                                    estimate_error=estimate, seed=args.seed)
         t = report["timings"]
         est = report.get("error_estimate", {})
-        rows.append([grid.size, t["compress"], t["invert"], t["reformat"],
-                     t["apply"], est.get("err_A", ""), est.get("norm_inv", "")])
+        rows.append([grid.size, t["compress"], t["invert"], t["apply"],
+                     est.get("err_A", ""), est.get("norm_inv", "")])
         print(f"N={grid.size}: compress {t['compress']}s, invert {t['invert']}s, "
-              f"reformat {t['reformat']}s, apply {t['apply']}s")
+              f"apply {t['apply']}s")
 
     with open(args.output, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["N", "t_compress", "t_invert", "t_reformat", "t_apply",
-                         "err_A", "norm_inv"])
+        writer.writerow(["N", "t_compress", "t_invert", "t_apply", "err_A", "norm_inv"])
         writer.writerows(rows)
     print(f"wrote {args.output}")
     return EXIT_OK

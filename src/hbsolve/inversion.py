@@ -82,10 +82,6 @@ class BlockSeparableMatrix:
     core: np.ndarray  # (sum k_i, sum k_i), zero diagonal blocks
 
     @property
-    def block_sizes(self):
-        return [d.shape[0] for d in self.D]
-
-    @property
     def ranks(self):
         return [u.shape[1] for u in self.U]
 

@@ -130,9 +130,3 @@ def id_row(B, tol, rank=None):
     R = R[: min(B.shape)]
     return InterpolatoryDecomposition(
         R, piv, _adaptive_rank(R, tol) if rank is None else rank)
-
-
-def id_col(B, tol, rank=None):
-    """Column analogue: B ~= B[:, J] @ V.T with V[J, :] = I_k."""
-    return id_row(np.asarray(B, float).T, tol, rank=rank)
-

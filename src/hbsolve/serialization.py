@@ -28,6 +28,7 @@ from .inversion import HbsInverse
 from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
+_HEADER, _RECORD, _SHAPE = struct.Struct("<4sIII"), struct.Struct("<III"), struct.Struct("<II")
 
 
 # the blocks of each role, in file order, named as the container fields
@@ -67,12 +68,16 @@ def save_inverse(path, inv: HbsInverse, target_leaf=0):
 
 
 class _Reader:
-    """Sequential HBS1 reader; a read past the end of the file raises,
+    """HBS1 reader over the whole file, read at once into one float64
+    buffer whose views are the blocks (numpy gives so large a buffer huge
+    pages, so few page faults); a read past the end of the file raises,
     naming what was being read and its byte offset."""
 
     def __init__(self, f):
-        self.f = f
-        self.size = os.fstat(f.fileno()).st_size
+        size = os.fstat(f.fileno()).st_size
+        self.pool = np.empty(-(-size // 8))
+        self.raw = self.pool.view(np.uint8)
+        self.size = f.readinto(self.raw[:size])
         self.at = 0
 
     def skip(self, nbytes, what, tau=0):
@@ -84,15 +89,17 @@ class _Reader:
                              f"{self.at} needs {nbytes} bytes, {left} left")
         self.at += nbytes
 
-    def take(self, nbytes, what, tau=0):
-        self.skip(nbytes, what, tau)
-        return self.f.read(nbytes)
+    def take(self, fields, what, tau=0):
+        """Unpack the struct `fields` from the next fields.size bytes."""
+        at = self.at
+        self.skip(fields.size, what, tau)
+        return fields.unpack_from(self.raw, at)
 
     def record(self, tau, roles):
         """Role and named blocks of node tau's record; its role must be one
         of `roles`."""
         at = self.at
-        node, role, count = struct.unpack("<III", self.take(12, "record", tau))
+        node, role, count = self.take(_RECORD, "record", tau)
         if node != tau:
             raise ValueError(f"record at byte {at} is for node {node}, expected "
                              f"node {tau}: records must follow node order")
@@ -105,10 +112,13 @@ class _Reader:
                              f"{len(names)} blocks, the record says {count}")
         blocks = {}
         for name in names:
-            rows, cols = struct.unpack("<II", self.take(8, name, tau))
+            rows, cols = self.take(_SHAPE, name, tau)
+            at = self.at
             self.skip(8 * rows * cols, name, tau)
-            blocks[name] = block = np.empty((rows, cols))
-            self.f.readinto(block)
+            if at % 8:  # every other record is off the 8-byte grid: move over `cols`
+                self.raw[at - 4:self.at - 4] = self.raw[at:self.at]
+                at -= 4
+            blocks[name] = self.pool[at // 8:at // 8 + rows * cols].reshape(rows, cols)
         return role, blocks
 
     def end(self):
@@ -149,7 +159,7 @@ def load(path):
     """
     with open(path, "rb") as f:
         r = _Reader(f)
-        magic, n, levels, _ = struct.unpack("<4sIII", r.take(16, "header"))
+        magic, n, levels, _ = r.take(_HEADER, "header")
         if magic != HBS_MAGIC:
             raise ValueError(f"not an HBS1 file: bad magic {magic!r}")
         if n >> levels == 0:

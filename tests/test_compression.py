@@ -273,7 +273,8 @@ def test_report_schema():
     _, report = solve_workflow(
         grid, CompressionConfig(), rhs, estimate_error=True, seed=1
     )
-    assert set(report["timings"]) == {"compress", "invert", "reformat", "apply"}
+    assert report["schema_version"] == 2
+    assert set(report["timings"]) == {"compress", "invert", "apply"}
     assert all(v >= 0 for v in report["timings"].values())
     for level, stats in report["ranks"].items():
         assert stats["min"] <= stats["mean"] <= stats["max"]
@@ -284,3 +285,18 @@ def test_report_schema():
     import json
 
     json.dumps(report)  # everything JSON-serializable
+
+
+@pytest.mark.parametrize("star", ["smooth_star_600", "corner_star_8000"])
+def test_solve_workflow_applies_the_factored_inverse(star, request):
+    grid, _, inv = request.getfixturevalue(star)
+    sources = [(3.0, 0.0), (0.5, 2.5), (-2.2, -2.0)]
+    F = np.column_stack([hb.harmonic_trace(grid, np.array(x0)) for x0 in sources])
+    inv_hbs = hb.inverse_to_hbs(inv)
+    for rhs in (F[:, 0], F):
+        q, _ = solve_workflow(grid, CompressionConfig(mode="proxy"), rhs)
+        # the fixture factors the same grid with the same config
+        assert np.array_equal(q, hb.apply_inverse(inv, rhs))
+        # and the paper's reformat to HBS form gives the same solution
+        ref = hb.hbs_matvec(inv_hbs, rhs)
+        assert np.all(np.linalg.norm(q - ref, axis=0) <= 1e-11 * np.linalg.norm(ref, axis=0))

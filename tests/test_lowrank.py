@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbsolve import lowrank
-from hbsolve.lowrank import COEFF_BOUND, id_col, id_row
+from hbsolve.lowrank import COEFF_BOUND, id_row
 
 
 def residual(B, dec):
@@ -85,15 +85,6 @@ def test_empty_and_invalid_inputs():
     assert id_row(np.zeros((4, 6)), 1e-10).rank == 0
     with pytest.raises(ValueError):
         id_row(np.ones((2, 2)), -1.0)
-
-
-def test_id_col_duality():
-    rng = np.random.default_rng(7)
-    B = low_rank_matrix(rng, 25, 35, 4)
-    dec = id_col(B, 1e-10)
-    err = np.linalg.norm(B - B[:, dec.skeleton] @ dec.coeffs.T)
-    assert err <= 1e-10 * np.linalg.norm(B)
-    assert np.array_equal(dec.coeffs[dec.skeleton], np.eye(dec.rank))
 
 
 def kahan(n, c=0.285):
