@@ -63,6 +63,7 @@ _EXPORTS = {
     # diagnostics and serialization
     "power_norm": "diagnostics",
     "estimate_solver_error": "diagnostics",
+    "sampled_error": "diagnostics",
     "save_hbs": "serialization",
     "save_inverse": "serialization",
     "load": "serialization",

@@ -69,7 +69,8 @@ def build_parser():
     p.add_argument("-o", "--output", default="solution.csv", help="solution CSV")
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--estimate-error", action="store_true",
-                   help="append a power-iteration error bound to the report")
+                   help="append an a posteriori error bound to the report "
+                        "(power iteration; sampled rows for err_A above N = 8000)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 

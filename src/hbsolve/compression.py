@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import quadrature as quad
-from .hbs import HbsMatrix
+from .hbs import HbsMatrix, hbs_matvec
 # inverse_to_hbs stays importable here: perfbench's tracer wraps compression.inverse_to_hbs
 from .inversion import apply_inverse, hbs_invert, inverse_to_hbs  # noqa: F401
 from .lowrank import id_row
@@ -256,14 +256,27 @@ def _sig3(x):
     return float(f"{x:.3g}")
 
 
+def _residual(A: HbsMatrix, q, rhs):
+    """Largest column-wise ||A q - f|| / ||f|| over (N,) or (N, m) input;
+    a zero column counts 0."""
+    n = rhs.shape[0]
+    r = np.linalg.norm((hbs_matvec(A, q) - rhs).reshape(n, -1), axis=0)
+    f = np.linalg.norm(rhs.reshape(n, -1), axis=0)
+    return float(np.max(np.divide(r, f, out=np.zeros_like(r), where=f > 0), initial=0.0))
+
+
 def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
                    estimate_error=False, seed=0):
     """End-to-end pipeline: compress, invert, apply.
 
     rhs is one right-hand side (N,) or a block (N, m) of them, all served
     by the same factorization.  Returns (solution of rhs's shape, report);
-    the report carries per-step timings, per-level rank statistics, and
-    conditioning telemetry, all JSON-safe.
+    the report carries per-step timings, per-level rank statistics,
+    conditioning telemetry and the residual of A_approx, all JSON-safe.
+
+    With estimate_error, err_A comes from power iteration against the exact
+    operator up to N = DENSE_MODE_GUARD and from SAMPLED_ROWS exact rows
+    above it; norm_inv always comes from power iteration on the inverse.
     """
     rhs = np.asarray(rhs, float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:
@@ -285,7 +298,7 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
 
     conds = [tel for tel in inv.telemetry.values()]
     report = {
-        "schema_version": 2,
+        "schema_version": 3,
         "n": int(grid.size),
         "levels": int(A.tree.levels),
         "mode": cfg.mode,
@@ -300,6 +313,7 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
             "invert": _sig3(t2 - t1),
             "apply": _sig3(t3 - t2),
         },
+        "residual": _sig3(_residual(A, q, rhs)),
         "ranks": _rank_stats(A),
         "condition": {
             "max_cond_Dtilde": _sig3(max(t.get("cond_Dtilde", 1.0) for t in conds)),
@@ -308,17 +322,20 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     }
 
     if estimate_error:
-        if grid.size > DENSE_MODE_GUARD:
-            raise ValueError(
-                "error estimation needs the dense matvec oracle and is "
-                f"capped at N <= {DENSE_MODE_GUARD}"
-            )
-        from .diagnostics import estimate_solver_error
+        from .diagnostics import (SAMPLED_ROWS, estimate_solver_error,
+                                  inverse_norm, sampled_error)
 
-        err_A, norm_inv, bound = estimate_solver_error(grid, A, inv, seed=seed)
+        if grid.size <= DENSE_MODE_GUARD:
+            err_A, norm_inv, _ = estimate_solver_error(grid, A, inv, seed=seed)
+            method = {"method": "power"}
+        else:
+            err_A = sampled_error(grid, A, seed)
+            norm_inv = inverse_norm(inv, seed=seed + 1)
+            method = {"method": "sampled", "samples": SAMPLED_ROWS}
         report["error_estimate"] = {
             "err_A": _sig3(err_A),
             "norm_inv": _sig3(norm_inv),
             "bound_factor": _sig3(err_A * norm_inv),
+            **method,
         }
     return q, report

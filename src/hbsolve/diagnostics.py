@@ -8,6 +8,13 @@ so estimating the two operator norms bounds the error without ever
 solving exactly.  Both norms are estimated by power iteration on the
 normal operator (apply, then adjoint-apply), which converges to the
 largest singular value for non-symmetric operators too.
+
+The exact operator A is the Nystrom matrix of a QuadratureGrid.  When
+its 8 N^2 bytes fit EXACT_ASSEMBLY_BYTES it is assembled once and every
+power step is a dense product with the stored matrix; above that budget
+each step re-forms it in panels (quadrature.dense_matvec), O(N^2) kernel
+evaluations per step.  Where even that is too dear, `sampled_error`
+estimates ||A - A_approx|| from a few exact rows in O(s N) instead.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ from . import quadrature as quad
 from .hbs import HbsMatrix, hbs_matvec, hbs_transpose
 from .inversion import HbsInverse, apply_inverse, inverse_transpose
 from .quadrature import QuadratureGrid
+
+# the exact matrix is assembled once up to this size (N <= 2896), else streamed
+EXACT_ASSEMBLY_BYTES = 64 * 2**20
+SAMPLED_ROWS = 32
 
 
 def power_norm(apply, apply_adjoint, dim, iters=50, seed=0):
@@ -44,15 +55,39 @@ def power_norm(apply, apply_adjoint, dim, iters=50, seed=0):
 
 
 def _exact_matvecs(A_exact):
-    """Forward/adjoint matvec callbacks for a dense array or a grid."""
-    if isinstance(A_exact, QuadratureGrid):
+    """Forward/adjoint matvec callbacks for a dense array or a grid.
+
+    A grid's matrix is assembled once when it fits EXACT_ASSEMBLY_BYTES and
+    multiplied by the same row/column panels the streamed path forms, so
+    both give the same products bit for bit at any BLAS thread count.
+    """
+    if not isinstance(A_exact, QuadratureGrid):
+        A = np.asarray(A_exact, float)
+        return (lambda v: A @ v), (lambda v: A.T @ v), A.shape[0]
+    grid, n = A_exact, A_exact.size
+    if 8 * n**2 > EXACT_ASSEMBLY_BYTES:
         return (
-            lambda v: quad.dense_matvec(A_exact, v),
-            lambda v: quad.dense_matvec_transpose(A_exact, v),
-            A_exact.size,
+            lambda v: quad.dense_matvec(grid, v),
+            lambda v: quad.dense_matvec_transpose(grid, v),
+            n,
         )
-    A = np.asarray(A_exact, float)
-    return (lambda v: A @ v), (lambda v: A.T @ v), A.shape[0]
+    A = quad.assemble_dlp(grid)
+    panels = [slice(s, s + quad.DENSE_BLOCK_ROWS) for s in range(0, n, quad.DENSE_BLOCK_ROWS)]
+    return (
+        lambda v: np.concatenate([A[p] @ v for p in panels]),
+        lambda v: np.concatenate([A[:, p].T @ v for p in panels]),
+        n,
+    )
+
+
+def inverse_norm(inv: HbsInverse, *, iters=50, seed=0):
+    """Power-iteration estimate of ||A_approx^-1|| from the factored inverse."""
+    invT = inverse_transpose(inv)
+    return power_norm(
+        lambda v: apply_inverse(inv, v),
+        lambda v: apply_inverse(invT, v),
+        inv.tree.n, iters=iters, seed=seed,
+    )
 
 
 def estimate_solver_error(A_exact, A_approx: HbsMatrix, inv: HbsInverse, *,
@@ -61,7 +96,7 @@ def estimate_solver_error(A_exact, A_approx: HbsMatrix, inv: HbsInverse, *,
 
     err_A estimates ||A - A_approx||, norm_inv estimates ||A_approx^-1||,
     and their product bounds ||q_approx - q|| / ||q||.  A_exact is either
-    the dense matrix or a QuadratureGrid (streamed dense matvec).
+    the dense matrix or a QuadratureGrid (assembled once, or streamed).
     """
     mv, mvT, n = _exact_matvecs(A_exact)
     At = hbs_transpose(A_approx)
@@ -70,10 +105,23 @@ def estimate_solver_error(A_exact, A_approx: HbsMatrix, inv: HbsInverse, *,
         lambda v: mvT(v) - hbs_matvec(At, v),
         n, iters=iters, seed=seed,
     )
-    invT = inverse_transpose(inv)
-    norm_inv = power_norm(
-        lambda v: apply_inverse(inv, v),
-        lambda v: apply_inverse(invT, v),
-        n, iters=iters, seed=seed + 1,
-    )
+    norm_inv = inverse_norm(inv, iters=iters, seed=seed + 1)
     return err_A, norm_inv, err_A * norm_inv
+
+
+def sampled_error(grid: QuadratureGrid, A: HbsMatrix, seed, samples=SAMPLED_ROWS):
+    """Estimate of ||A_exact - A|| from s distinct random rows, in O(s N).
+
+    The exact rows come from the kernel, the same rows of A from one block
+    product of A^T with the s unit columns.  sqrt(N/s) ||rows of A_exact - A||_F
+    estimates the Frobenius norm of the difference, which bounds its
+    spectral norm from above.
+    """
+    n = grid.size
+    s = min(samples, n)
+    rows = np.sort(np.random.default_rng(seed).choice(n, s, replace=False))
+    E = np.zeros((n, s))
+    E[rows, np.arange(s)] = 1.0
+    approx = hbs_matvec(hbs_transpose(A), E).T
+    exact = quad.nystrom_block(grid, rows, np.arange(n))
+    return float(np.sqrt(n / s) * np.linalg.norm(exact - approx))

@@ -33,6 +33,8 @@ import numpy as np
 from .geometry import Contour, PanelDecomposition
 
 COINCIDENT_NODE_TOL = 1e-14
+# rows per panel when the exact matrix is formed or streamed whole
+DENSE_BLOCK_ROWS = 1024
 
 
 class DegenerateGridError(ValueError):
@@ -176,16 +178,23 @@ def nystrom_block(grid: QuadratureGrid, rows, cols):
 
 
 def assemble_dlp(grid: QuadratureGrid) -> np.ndarray:
-    """Dense N x N Nystrom matrix for the double-layer equation."""
+    """Dense N x N Nystrom matrix for the double-layer equation, filled by
+    row panels, so the peak is the matrix plus one panel's temporaries."""
     if grid.size == 0:
         raise ValueError("empty grid")
     if grid.panel_count < 2:
         raise ValueError("grid needs at least 2 panels")
     idx = np.arange(grid.size)
-    return nystrom_block(grid, idx, idx)
+    if grid.size <= DENSE_BLOCK_ROWS:
+        return nystrom_block(grid, idx, idx)
+    A = np.empty((grid.size, grid.size))
+    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
+        panel = slice(start, start + DENSE_BLOCK_ROWS)
+        A[panel] = nystrom_block(grid, idx[panel], idx)
+    return A
 
 
-def dense_matvec(grid: QuadratureGrid, q, block_size=1024):
+def dense_matvec(grid: QuadratureGrid, q, block_size=DENSE_BLOCK_ROWS):
     """A @ q assembled row-block by row-block; never stores the N x N matrix."""
     q = np.asarray(q, float)
     out = np.empty_like(q)
@@ -196,7 +205,7 @@ def dense_matvec(grid: QuadratureGrid, q, block_size=1024):
     return out
 
 
-def dense_matvec_transpose(grid: QuadratureGrid, q, block_size=1024):
+def dense_matvec_transpose(grid: QuadratureGrid, q, block_size=DENSE_BLOCK_ROWS):
     """A.T @ q assembled column-block by column-block."""
     q = np.asarray(q, float)
     out = np.empty_like(q)

@@ -62,6 +62,21 @@ def test_solve_harmonic_rhs(tmp_path, capsys):
     assert "interior error" in capsys.readouterr().out
 
 
+def test_solve_estimates_error_above_the_power_cap(tmp_path):
+    from hbsolve.compression import DENSE_MODE_GUARD
+
+    grid_path = discretize(tmp_path, kind="smooth_star",
+                           panels_per_unit=DENSE_MODE_GUARD // 10 + 1)
+    rep = str(tmp_path / "report.json")
+    code = cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(tmp_path / "q.csv"),
+                     "--report", rep, "--estimate-error"])
+    assert code == 0
+    report = json.load(open(rep))
+    assert report["n"] > DENSE_MODE_GUARD
+    assert report["error_estimate"]["method"] == "sampled"
+    assert np.isfinite(report["error_estimate"]["bound_factor"])
+
+
 def test_solve_rhs_file_and_zero_rhs(tmp_path):
     grid_path = discretize(tmp_path)
     rhs = tmp_path / "rhs.txt"

@@ -233,6 +233,22 @@ def test_solve_workflow_block_rhs():
     assert report["error_estimate"] == single["error_estimate"]
 
 
+def test_report_residual_is_the_worst_column():
+    grid = star_grid(48, 10)
+    F = np.column_stack([hb.harmonic_trace(grid, np.array([3.0, 0.0])),
+                         np.zeros(grid.size),
+                         hb.harmonic_trace(grid, np.array([0.5, 2.5]))])
+    cfg = CompressionConfig(mode="proxy", tol=1e-6)
+    Q, report = solve_workflow(grid, cfg, F)
+    A, _ = hb.compress(grid, cfg)
+    R = hb.hbs_matvec(A, Q) - F
+    worst = max(np.linalg.norm(R[:, j]) / np.linalg.norm(F[:, j]) for j in (0, 2))
+    assert worst > 0
+    assert report["residual"] == float(f"{worst:.3g}")
+    _, zero = solve_workflow(grid, cfg, np.zeros(grid.size))
+    assert zero["residual"] == 0.0
+
+
 def test_solve_workflow_block_rhs_names_bad_row_and_column():
     grid = circle_grid(16, 10)
     F = np.ones((grid.size, 3))
@@ -273,13 +289,15 @@ def test_report_schema():
     _, report = solve_workflow(
         grid, CompressionConfig(), rhs, estimate_error=True, seed=1
     )
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert set(report["timings"]) == {"compress", "invert", "apply"}
+    assert 0 <= report["residual"] <= 1e-8
     assert all(v >= 0 for v in report["timings"].values())
     for level, stats in report["ranks"].items():
         assert stats["min"] <= stats["mean"] <= stats["max"]
     assert report["condition"]["max_cond_Dtilde"] >= 1.0
     est = report["error_estimate"]
+    assert est["method"] == "power" and "samples" not in est
     assert est["err_A"] <= 1e-8
     assert est["bound_factor"] <= 1e-6
     import json

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hbsolve as hb
-from hbsolve.diagnostics import estimate_solver_error, power_norm
+from hbsolve import diagnostics, quadrature
+from hbsolve.compression import DENSE_MODE_GUARD
+from hbsolve.diagnostics import estimate_solver_error, power_norm, sampled_error
 from hbsolve.inversion import hbs_invert
 from conftest import star_grid
 
@@ -88,3 +91,110 @@ def test_bound_dominates_observed_error(rng):
         # the bound is a power-iteration estimate, so allow slack for the
         # slight underestimation of the operator norms
         assert rel <= 1.1 * bound + 1e-14
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of its calls."""
+    calls, orig = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def proxy_factorization(grid, tol=1e-10):
+    A, _ = hb.compress(grid, hb.CompressionConfig(mode="proxy", tol=tol))
+    return A, hbs_invert(A)
+
+
+def test_grid_estimate_assembles_the_exact_operator_once(monkeypatch):
+    grid = star_grid(80, 10)  # N = 800, the README quick start
+    Ah, inv = proxy_factorization(grid)
+    streamed = counting(monkeypatch, quadrature, "dense_matvec")
+    streamed_T = counting(monkeypatch, quadrature, "dense_matvec_transpose")
+    assembled = counting(monkeypatch, quadrature, "assemble_dlp")
+    from_grid = estimate_solver_error(grid, Ah, inv)
+    assert len(assembled) == 1 and not streamed and not streamed_T
+    assert from_grid == estimate_solver_error(hb.assemble_dlp(grid), Ah, inv)
+
+
+def test_grid_estimate_streams_above_the_assembly_budget(monkeypatch):
+    grid = star_grid(150, 10)  # N = 1500: two row panels per streamed pass
+    Ah, inv = proxy_factorization(grid)
+    assembled = estimate_solver_error(grid, Ah, inv, iters=10)
+    monkeypatch.setattr(diagnostics, "EXACT_ASSEMBLY_BYTES", 0)
+    streamed = counting(monkeypatch, quadrature, "dense_matvec")
+    panels = counting(monkeypatch, quadrature, "nystrom_block")
+    from_stream = estimate_solver_error(grid, Ah, inv, iters=10)
+    assert len(streamed) == 10
+    assert len(panels) == 2 * 2 * 10
+    assert np.allclose(from_stream, assembled, rtol=1e-12, atol=0)
+
+
+def test_sampled_error_scales_its_rows_to_the_frobenius_norm():
+    grid = star_grid(60, 10)  # N = 600
+    Ah, _ = proxy_factorization(grid, 1e-6)
+    R = hb.assemble_dlp(grid) - hb.expand_dense(Ah)
+    every_row = sampled_error(grid, Ah, seed=3, samples=grid.size)
+    assert np.isclose(every_row, np.linalg.norm(R), rtol=1e-6)
+    rows = np.random.default_rng(3).choice(grid.size, 32, replace=False)
+    expected = np.sqrt(grid.size / 32) * np.linalg.norm(R[rows])
+    assert np.isclose(sampled_error(grid, Ah, seed=3), expected, rtol=1e-6)
+
+
+def grid_on(contour, panels, corner_levels, nodes):
+    return hb.build_grid(contour, hb.decompose(contour, panels, corner_levels), nodes)
+
+
+CONTOURS = {
+    "circle": lambda: grid_on(hb.UnitCircle(), 150, 0, 10),
+    "smooth_star": lambda: grid_on(hb.SmoothStar(), 200, 0, 10),
+    "corner_star": lambda: grid_on(hb.CornerStar(), 4, 5, 16),
+    "snake": lambda: grid_on(hb.Snake(), 10, 4, 16),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("contour", sorted(CONTOURS))
+def test_sampled_error_agrees_with_power(contour, tol):
+    grid = CONTOURS[contour]()
+    assert 8 * grid.size**2 <= diagnostics.EXACT_ASSEMBLY_BYTES
+    Ah, inv = proxy_factorization(grid, tol)
+    power, _, _ = estimate_solver_error(grid, Ah, inv)
+    sampled = sampled_error(grid, Ah, seed=0)
+    assert power / 10 <= sampled <= 10 * power
+
+
+def test_solve_workflow_samples_err_A_above_the_power_cap():
+    grid = star_grid(DENSE_MODE_GUARD // 10 + 1, 10)
+    assert grid.size > DENSE_MODE_GUARD
+    rhs = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
+    _, report = hb.solve_workflow(grid, hb.CompressionConfig(mode="proxy"), rhs,
+                                  estimate_error=True)
+    est = report["error_estimate"]
+    assert est["method"] == "sampled" and est["samples"] == diagnostics.SAMPLED_ROWS
+    assert 0 < est["err_A"] <= 1e-8
+    assert np.isfinite(est["bound_factor"]) and est["bound_factor"] > 0
+
+
+# compression error against tolerance, fixed before the first run
+ERR_A_PER_TOL = 100
+
+random_grids = st.one_of(  # N = 1000, or 800-1200 for the corner stars
+    st.builds(lambda arms, amp: grid_on(hb.SmoothStar(arms, amp), 100, 0, 10),
+              st.integers(4, 6), st.floats(0.2, 0.4)),
+    st.builds(lambda seg, r1, r2: grid_on(hb.CornerStar(seg, (r1, r2)), 2, 4, 10),
+              st.sampled_from([8, 10, 12]), st.floats(0.85, 0.95), st.floats(1.05, 1.15)),
+)
+
+
+@settings(deadline=None, max_examples=15)
+@given(random_grids, st.floats(-12, -6))
+def test_power_err_A_meets_tolerance(grid, log_tol):
+    tol = 10.0**log_tol
+    Ah, inv = proxy_factorization(grid, tol)
+    err_A, _, _ = estimate_solver_error(grid, Ah, inv)
+    assert err_A <= ERR_A_PER_TOL * tol
