@@ -70,7 +70,8 @@ def build_parser():
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--estimate-error", action="store_true",
                    help="append an a posteriori error bound to the report "
-                        "(power iteration; sampled rows for err_A above N = 8000)")
+                        "(power iteration; above N = 8000 err_A is estimated "
+                        "from sampled rows, so the bound is an estimate)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 

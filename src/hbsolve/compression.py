@@ -276,7 +276,8 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
 
     With estimate_error, err_A comes from power iteration against the exact
     operator up to N = DENSE_MODE_GUARD and from SAMPLED_ROWS exact rows
-    above it; norm_inv always comes from power iteration on the inverse.
+    above it (a random Frobenius-norm estimate, not a bound); norm_inv
+    always comes from power iteration on the inverse.
     """
     rhs = np.asarray(rhs, float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:

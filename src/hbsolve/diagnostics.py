@@ -14,7 +14,8 @@ its 8 N^2 bytes fit EXACT_ASSEMBLY_BYTES it is assembled once and every
 power step is a dense product with the stored matrix; above that budget
 each step re-forms it in panels (quadrature.dense_matvec), O(N^2) kernel
 evaluations per step.  Where even that is too dear, `sampled_error`
-estimates ||A - A_approx|| from a few exact rows in O(s N) instead.
+estimates ||A - A_approx||_F from a few exact rows in O(s N) instead; that
+is a random estimate, not a bound.
 """
 
 from __future__ import annotations
@@ -58,26 +59,19 @@ def _exact_matvecs(A_exact):
     """Forward/adjoint matvec callbacks for a dense array or a grid.
 
     A grid's matrix is assembled once when it fits EXACT_ASSEMBLY_BYTES and
-    multiplied by the same row/column panels the streamed path forms, so
-    both give the same products bit for bit at any BLAS thread count.
+    streamed in panels on every call above that budget.
     """
-    if not isinstance(A_exact, QuadratureGrid):
-        A = np.asarray(A_exact, float)
-        return (lambda v: A @ v), (lambda v: A.T @ v), A.shape[0]
-    grid, n = A_exact, A_exact.size
-    if 8 * n**2 > EXACT_ASSEMBLY_BYTES:
-        return (
-            lambda v: quad.dense_matvec(grid, v),
-            lambda v: quad.dense_matvec_transpose(grid, v),
-            n,
-        )
-    A = quad.assemble_dlp(grid)
-    panels = [slice(s, s + quad.DENSE_BLOCK_ROWS) for s in range(0, n, quad.DENSE_BLOCK_ROWS)]
-    return (
-        lambda v: np.concatenate([A[p] @ v for p in panels]),
-        lambda v: np.concatenate([A[:, p].T @ v for p in panels]),
-        n,
-    )
+    if isinstance(A_exact, QuadratureGrid):
+        grid = A_exact
+        if 8 * grid.size**2 > EXACT_ASSEMBLY_BYTES:
+            return (
+                lambda v: quad.dense_matvec(grid, v),
+                lambda v: quad.dense_matvec_transpose(grid, v),
+                grid.size,
+            )
+        A_exact = quad.assemble_dlp(grid)
+    A = np.asarray(A_exact, float)
+    return (lambda v: A @ v), (lambda v: A.T @ v), A.shape[0]
 
 
 def inverse_norm(inv: HbsInverse, *, iters=50, seed=0):
@@ -109,16 +103,17 @@ def estimate_solver_error(A_exact, A_approx: HbsMatrix, inv: HbsInverse, *,
     return err_A, norm_inv, err_A * norm_inv
 
 
-def sampled_error(grid: QuadratureGrid, A: HbsMatrix, seed, samples=SAMPLED_ROWS):
-    """Estimate of ||A_exact - A|| from s distinct random rows, in O(s N).
+def sampled_error(grid: QuadratureGrid, A: HbsMatrix, seed):
+    """Estimate of ||A_exact - A|| from s = SAMPLED_ROWS distinct random
+    rows, in O(s N).
 
     The exact rows come from the kernel, the same rows of A from one block
     product of A^T with the s unit columns.  sqrt(N/s) ||rows of A_exact - A||_F
-    estimates the Frobenius norm of the difference, which bounds its
-    spectral norm from above.
+    is an unbiased estimate of the Frobenius norm of the difference.  It is
+    an estimate, not a bound: when the error sits in a few rows the sample
+    can miss them and fall below the spectral norm.
     """
-    n = grid.size
-    s = min(samples, n)
+    n, s = grid.size, SAMPLED_ROWS
     rows = np.sort(np.random.default_rng(seed).choice(n, s, replace=False))
     E = np.zeros((n, s))
     E[rows, np.arange(s)] = 1.0

@@ -185,7 +185,7 @@ def assemble_dlp(grid: QuadratureGrid) -> np.ndarray:
     if grid.panel_count < 2:
         raise ValueError("grid needs at least 2 panels")
     idx = np.arange(grid.size)
-    if grid.size <= DENSE_BLOCK_ROWS:
+    if grid.size <= DENSE_BLOCK_ROWS:  # one panel: return it, no second N x N copy
         return nystrom_block(grid, idx, idx)
     A = np.empty((grid.size, grid.size))
     for start in range(0, grid.size, DENSE_BLOCK_ROWS):
