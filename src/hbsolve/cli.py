@@ -121,7 +121,7 @@ def _load_rhs(spec, grid):
     return (rhs[:, 0] if rhs.shape[1] == 1 else rhs), None
 
 
-def _config_from(args, mode=None):
+def _config_from(args):
     from .compression import CompressionConfig
 
     return CompressionConfig(
@@ -130,7 +130,7 @@ def _config_from(args, mode=None):
         proxy_radius_factor=args.proxy_radius_factor,
         symmetrize=args.symmetrize,
         target_leaf=args.target_leaf,
-        mode=mode or args.mode,
+        mode=args.mode,
     )
 
 

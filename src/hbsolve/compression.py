@@ -140,10 +140,8 @@ def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
             B21[parent] = entry(row_skel[s2], col_skel[s1])
     D = {tau: entry(tree.indices(tau), tree.indices(tau)) for tau in tree.leaves}
 
-    A = HbsMatrix(
-        tree=tree, D=D, U=U, V=V, B12=B12, B21=B21,
-        interpolatory=True, local_skeletons=local_skel,
-    )
+    A = HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21,
+                  local_skeletons=local_skel)
     return A, SkeletonSet(row=row_skel, col=col_skel)
 
 
@@ -212,14 +210,19 @@ class _ProxySampler:
         return R, C
 
 
-def compress_dense(A_dense, tree: IndexTree, cfg: CompressionConfig):
-    """Baseline compression from the assembled matrix (oracle scale)."""
-    A_dense = np.asarray(A_dense, float)
-    if tree.n > DENSE_MODE_GUARD:
+def _guard_dense(n):
+    """Refuse dense mode above DENSE_MODE_GUARD, before any N x N array exists."""
+    if n > DENSE_MODE_GUARD:
         raise ValueError(
             f"dense mode is guarded to N <= {DENSE_MODE_GUARD} "
-            f"(got N = {tree.n}); use proxy mode"
+            f"(got N = {n}); use proxy mode"
         )
+
+
+def compress_dense(A_dense, tree: IndexTree, cfg: CompressionConfig):
+    """Baseline compression from the assembled matrix (oracle scale)."""
+    _guard_dense(tree.n)
+    A_dense = np.asarray(A_dense, float)
     if A_dense.shape != (tree.n, tree.n):
         raise ValueError("matrix shape does not match the tree")
     entry = lambda rows, cols: A_dense[np.ix_(rows, cols)].copy()
@@ -232,11 +235,11 @@ def compress_proxy(grid: QuadratureGrid, kernel, tree: IndexTree, cfg: Compressi
     return _compress(tree, cfg, sampler, kernel.matrix)
 
 
-def compress(grid: QuadratureGrid, cfg: CompressionConfig, tree=None):
+def compress(grid: QuadratureGrid, cfg: CompressionConfig):
     """Compress the double-layer Nystrom system per the config's mode."""
-    if tree is None:
-        tree = build_tree(grid.size, cfg.target_leaf)
+    tree = build_tree(grid.size, cfg.target_leaf)
     if cfg.mode == "dense":
+        _guard_dense(grid.size)
         return compress_dense(quad.assemble_dlp(grid), tree, cfg)
     return compress_proxy(grid, NystromDlpKernel(grid), tree, cfg)
 

@@ -33,9 +33,8 @@ class HbsMatrix:
     V: dict
     B12: dict                   # parent -> A~(left child, right child)
     B21: dict
-    interpolatory: bool = False
-    # node -> (local row skeleton, local col skeleton) when interpolatory:
-    # U[tau][row skeleton] = I and V[tau][col skeleton] = I
+    # node -> (local row skeleton, local col skeleton) of an interpolatory
+    # factorization: U[tau][row skeleton] = I and V[tau][col skeleton] = I
     local_skeletons: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -110,15 +109,13 @@ def hbs_matvec(A: HbsMatrix, q):
 
 
 def hbs_transpose(A: HbsMatrix) -> HbsMatrix:
-    """A.T in HBS form: U and V swap roles, B blocks swap and transpose."""
+    """A.T in HBS form: new dicts over A's own arrays.  U and V swap roles,
+    D and the swapped B blocks become transposed views; no block is copied."""
     return HbsMatrix(
-        tree=A.tree,
-        D={tau: D.T.copy() for tau, D in A.D.items()},
-        U={tau: V.copy() for tau, V in A.V.items()},
-        V={tau: U.copy() for tau, U in A.U.items()},
-        B12={tau: B.T.copy() for tau, B in A.B21.items()},
-        B21={tau: B.T.copy() for tau, B in A.B12.items()},
-        interpolatory=A.interpolatory,
+        tree=A.tree, U=dict(A.V), V=dict(A.U),
+        D={tau: D.T for tau, D in A.D.items()},
+        B12={tau: B.T for tau, B in A.B21.items()},
+        B21={tau: B.T for tau, B in A.B12.items()},
         local_skeletons={tau: (c, r) for tau, (r, c) in A.local_skeletons.items()},
     )
 
@@ -227,12 +224,11 @@ def validate(A: HbsMatrix):
             if not np.all(np.isfinite(block)):
                 issues.append(f"node {tau}: non-finite entries in {name}")
 
-    if A.interpolatory:
-        for tau, (rloc, cloc) in A.local_skeletons.items():
-            if tau in A.U and len(rloc) == A.U[tau].shape[1]:
-                if not np.array_equal(A.U[tau][rloc], np.eye(len(rloc))):
-                    issues.append(f"node {tau}: U skeleton rows are not the identity")
-            if tau in A.V and len(cloc) == A.V[tau].shape[1]:
-                if not np.array_equal(A.V[tau][cloc], np.eye(len(cloc))):
-                    issues.append(f"node {tau}: V skeleton rows are not the identity")
+    for tau, (rloc, cloc) in A.local_skeletons.items():
+        if tau in A.U and len(rloc) == A.U[tau].shape[1]:
+            if not np.array_equal(A.U[tau][rloc], np.eye(len(rloc))):
+                issues.append(f"node {tau}: U skeleton rows are not the identity")
+        if tau in A.V and len(cloc) == A.V[tau].shape[1]:
+            if not np.array_equal(A.V[tau][cloc], np.eye(len(cloc))):
+                issues.append(f"node {tau}: V skeleton rows are not the identity")
     return issues

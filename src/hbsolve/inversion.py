@@ -81,10 +81,6 @@ class BlockSeparableMatrix:
     V: list      # p blocks, (n_i, k_i)
     core: np.ndarray  # (sum k_i, sum k_i), zero diagonal blocks
 
-    @property
-    def ranks(self):
-        return [u.shape[1] for u in self.U]
-
     def to_dense(self):
         from scipy.linalg import block_diag
 
@@ -196,13 +192,12 @@ def apply_inverse(inv: HbsInverse, u):
 
 
 def inverse_transpose(inv: HbsInverse) -> HbsInverse:
-    """Factored form of (A^-1)^T: E and F swap roles, G blocks transpose."""
+    """Factored form of (A^-1)^T: new dicts over inv's own arrays.  E and F
+    swap roles, G and Dhat become transposed views; no block is copied."""
     return HbsInverse(
-        tree=inv.tree,
-        E={tau: F.copy() for tau, F in inv.F.items()},
-        F={tau: E.copy() for tau, E in inv.E.items()},
-        G={tau: G.T.copy() for tau, G in inv.G.items()},
-        Dhat={tau: D.T.copy() for tau, D in inv.Dhat.items()},
+        tree=inv.tree, E=dict(inv.F), F=dict(inv.E),
+        G={tau: G.T for tau, G in inv.G.items()},
+        Dhat={tau: D.T for tau, D in inv.Dhat.items()},
         telemetry=inv.telemetry,
     )
 

@@ -136,14 +136,14 @@ def _self_pairs(rows, cols):
     return i, order[np.arange(i.shape[0]) + shift[i]]
 
 
-def _grid_block(grid, rows, cols, scale, check_coincident):
+def _grid_block(grid, rows, cols, scale):
     """Dipole block between grid nodes with the self pairs (i, j) left for
     the caller to overwrite; coincident *distinct* nodes raise."""
     dx, dy, r2 = _differences(grid.points[rows], grid.points[cols])
     i, j = _self_pairs(rows, cols)
     if i.size:
         r2[i, j] = np.inf
-    if check_coincident and r2.size and r2.min() < COINCIDENT_NODE_TOL**2:
+    if r2.size and r2.min() < COINCIDENT_NODE_TOL**2:
         raise DegenerateGridError(
             f"distinct quadrature nodes closer than {COINCIDENT_NODE_TOL:g}"
         )
@@ -152,26 +152,12 @@ def _grid_block(grid, rows, cols, scale, check_coincident):
     return K, i, j
 
 
-def dlp_kernel_block(grid: QuadratureGrid, rows, cols, check_coincident=True):
-    """Kernel values K(x_r, x_c) for index arrays rows/cols (no weights).
-
-    Entries with equal global index get the curvature limit; coincident
-    *distinct* nodes raise DegenerateGridError.
-    """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    K, i, j = _grid_block(grid, rows, cols, 1.0, check_coincident)
-    if i.size:
-        K[i, j] = grid.curvature[cols[j]] / (4 * np.pi)
-    return K
-
-
 def nystrom_block(grid: QuadratureGrid, rows, cols):
     """Submatrix A(rows, cols) of the Nystrom system (1/2) I + K diag(w)."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     w = grid.weights[cols]
-    A, i, j = _grid_block(grid, rows, cols, w, True)
+    A, i, j = _grid_block(grid, rows, cols, w)
     if i.size:
         A[i, j] = grid.curvature[cols[j]] / (4 * np.pi) * w[j] + 0.5
     return A
@@ -194,24 +180,24 @@ def assemble_dlp(grid: QuadratureGrid) -> np.ndarray:
     return A
 
 
-def dense_matvec(grid: QuadratureGrid, q, block_size=DENSE_BLOCK_ROWS):
+def dense_matvec(grid: QuadratureGrid, q):
     """A @ q assembled row-block by row-block; never stores the N x N matrix."""
     q = np.asarray(q, float)
     out = np.empty_like(q)
     idx = np.arange(grid.size)
-    for start in range(0, grid.size, block_size):
-        rows = idx[start : start + block_size]
+    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
+        rows = idx[start : start + DENSE_BLOCK_ROWS]
         out[rows] = nystrom_block(grid, rows, idx) @ q
     return out
 
 
-def dense_matvec_transpose(grid: QuadratureGrid, q, block_size=DENSE_BLOCK_ROWS):
+def dense_matvec_transpose(grid: QuadratureGrid, q):
     """A.T @ q assembled column-block by column-block."""
     q = np.asarray(q, float)
     out = np.empty_like(q)
     idx = np.arange(grid.size)
-    for start in range(0, grid.size, block_size):
-        cols = idx[start : start + block_size]
+    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
+        cols = idx[start : start + DENSE_BLOCK_ROWS]
         out[cols] = nystrom_block(grid, idx, cols).T @ q
     return out
 

@@ -48,14 +48,14 @@ def _role(levels, tau, inverse):
 def _save(path, obj, inverse, target_leaf):
     tree = obj.tree
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", HBS_MAGIC, tree.n, tree.levels, target_leaf))
+        f.write(_HEADER.pack(HBS_MAGIC, tree.n, tree.levels, target_leaf))
         for tau in range(1, tree.node_count + 1):
             role = _role(tree.levels, tau, inverse)
             names = _ROLE_BLOCKS[role]
-            f.write(struct.pack("<III", tau, role, len(names)))
+            f.write(_RECORD.pack(tau, role, len(names)))
             for name in names:
                 b = np.ascontiguousarray(getattr(obj, name)[tau], dtype=np.float64)
-                f.write(struct.pack("<II", b.shape[0], b.shape[1]))
+                f.write(_SHAPE.pack(*b.shape))
                 f.write(b.tobytes())
 
 

@@ -43,10 +43,6 @@ class IndexTree:
     def is_leaf(self, node):
         return node >= 2**self.levels
 
-    def sibling_pairs(self, level):
-        """Pairs (2 tau, 2 tau + 1) of siblings below the given parent level."""
-        return [(2 * t, 2 * t + 1) for t in self.nodes_at_level(level)]
-
 
 def tree_with_levels(n, levels):
     """The depth-`levels` tree over [0, n); each split gives the left child

@@ -77,6 +77,20 @@ def test_solve_estimates_error_above_the_power_cap(tmp_path):
     assert np.isfinite(report["error_estimate"]["bound_factor"])
 
 
+def test_solve_dense_mode_above_the_guard_exits_2(tmp_path, monkeypatch, capsys):
+    from hbsolve import compression
+
+    calls = []
+    monkeypatch.setattr(compression.quad, "assemble_dlp", lambda grid: calls.append(grid))
+    grid_path = discretize(tmp_path, kind="smooth_star",
+                           panels_per_unit=compression.DENSE_MODE_GUARD // 10 + 2)
+    code = cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(tmp_path / "q.csv"),
+                     "--mode", "dense"])
+    assert code == 2
+    assert "proxy mode" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_solve_rhs_file_and_zero_rhs(tmp_path):
     grid_path = discretize(tmp_path)
     rhs = tmp_path / "rhs.txt"

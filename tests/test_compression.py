@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import hbsolve as hb
+from hbsolve import compression
 from hbsolve.compression import (
     DENSE_MODE_GUARD,
     CompressionConfig,
@@ -63,6 +64,15 @@ def test_dense_guard_directs_to_proxy():
     tree = hb.build_tree(DENSE_MODE_GUARD + 1, 64)
     with pytest.raises(ValueError, match="proxy"):
         compress_dense(np.zeros((2, 2)), tree, CompressionConfig())
+
+
+def test_dense_mode_refuses_large_n_before_assembling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compression.quad, "assemble_dlp", lambda grid: calls.append(grid))
+    grid = star_grid(DENSE_MODE_GUARD // 10 + 2, 10)  # N = 8020
+    with pytest.raises(ValueError, match="proxy mode"):
+        compress(grid, CompressionConfig(mode="dense"))
+    assert calls == []
 
 
 def test_dense_shape_mismatch():

@@ -115,8 +115,21 @@ def test_matvec_expand_consistency(rng):
 
 def test_transpose(rng):
     A = random_hbs(rng)
+    E = hb.expand_dense(A)
+    X = rng.standard_normal((A.tree.n, max(BLOCK_WIDTHS)))
+    before = hb.hbs_matvec(A, X)
     At = hb.hbs_transpose(A)
-    assert np.allclose(hb.expand_dense(At), hb.expand_dense(A).T, atol=1e-13)
+    assert np.allclose(hb.expand_dense(At), E.T, atol=1e-13)
+    # views over A's own blocks, roles swapped
+    for store, t_store in ((A.D, At.D), (A.U, At.V), (A.V, At.U),
+                           (A.B12, At.B21), (A.B21, At.B12)):
+        assert store.keys() == t_store.keys()
+        assert all(np.shares_memory(store[tau], t_store[tau]) for tau in store)
+    for m in BLOCK_WIDTHS:
+        Y = assert_block_matches_columns(lambda x: hb.hbs_matvec(At, x), X[:, :m])
+        ref = E.T @ X[:, :m]
+        assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(hb.hbs_matvec(A, X), before)
 
 
 def test_extended_basis_factorizes_offdiagonal(rng):
@@ -166,7 +179,7 @@ def test_validate_detects_defects(rng):
 
 def test_validate_checks_interpolatory_identity():
     _, Ah = compressed_circle(32)
-    assert Ah.interpolatory
+    assert Ah.local_skeletons
     leaf = next(iter(Ah.tree.leaves))
     Ah.U[leaf] = Ah.U[leaf] + 1e-3  # break U[skeleton] = I
     assert any("skeleton" in s for s in hb.validate(Ah))

@@ -236,10 +236,20 @@ def test_condition_estimates_track_two_norm_condition():
 
 def test_inverse_transpose(rng):
     _, A_dense, Ah = compressed_circle(32)
-    invT = inverse_transpose(hbs_invert(Ah))
-    b = rng.standard_normal(320)
-    ref = np.linalg.solve(A_dense.T, b)
-    assert np.linalg.norm(apply_inverse(invT, b) - ref) <= 1e-8 * np.linalg.norm(b)
+    inv = hbs_invert(Ah)
+    B = rng.standard_normal((320, max(BLOCK_WIDTHS)))
+    before = apply_inverse(inv, B)
+    invT = inverse_transpose(inv)
+    # views over inv's own factors, E and F swapped
+    for store, t_store in ((inv.E, invT.F), (inv.F, invT.E), (inv.G, invT.G),
+                           (inv.Dhat, invT.Dhat)):
+        assert store.keys() == t_store.keys()
+        assert all(np.shares_memory(store[tau], t_store[tau]) for tau in store)
+    for m in BLOCK_WIDTHS:
+        Q = assert_block_matches_columns(lambda x: apply_inverse(invT, x), B[:, :m])
+        ref = np.linalg.solve(A_dense.T, B[:, :m])
+        assert np.linalg.norm(Q - ref) <= 1e-8 * np.linalg.norm(B[:, :m])
+    assert np.array_equal(apply_inverse(inv, B), before)
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,13 @@ def test_refinement_convergence_on_corner_star():
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def test_dense_matvec_streams_match():
+def test_dense_matvec_streams_match(monkeypatch):
     grid = star_grid(32, 10)
     A = hb.assemble_dlp(grid)
     v = np.random.default_rng(3).standard_normal(grid.size)
-    assert np.allclose(quad.dense_matvec(grid, v, block_size=77), A @ v,
-                       rtol=1e-13, atol=1e-13)
-    assert np.allclose(quad.dense_matvec_transpose(grid, v, block_size=77), A.T @ v,
+    monkeypatch.setattr(quad, "DENSE_BLOCK_ROWS", 77)  # panels that do not divide N
+    assert np.allclose(quad.dense_matvec(grid, v), A @ v, rtol=1e-13, atol=1e-13)
+    assert np.allclose(quad.dense_matvec_transpose(grid, v), A.T @ v,
                        rtol=1e-13, atol=1e-13)
 
 
@@ -226,8 +226,6 @@ def test_kernel_blocks_match_einsum_reference():
     for rows, cols in index_sets(rng, grid.size):
         assert_close_blocks(quad.nystrom_block(grid, rows, cols),
                             einsum_nystrom_block(grid, rows, cols))
-        assert_close_blocks(quad.dlp_kernel_block(grid, rows, cols),
-                            einsum_dlp_block(grid, rows, cols))
 
 
 def test_repeated_indices_all_get_the_limit():
@@ -276,8 +274,3 @@ def test_coincident_nodes_raise_in_any_block():
                        (np.array([17, 5]), np.array([5]))):
         with pytest.raises(quad.DegenerateGridError):
             quad.nystrom_block(grid, rows, cols)
-        with pytest.raises(quad.DegenerateGridError):
-            quad.dlp_kernel_block(grid, rows, cols)
-    K = quad.dlp_kernel_block(grid, np.arange(20), np.arange(20), check_coincident=False)
-    assert not np.isfinite(K[5, 17]) and not np.isfinite(K[17, 5])
-    assert K[5, 5] == grid.curvature[5] / (4 * np.pi)

@@ -32,12 +32,6 @@ def test_ceil_split_recursion():
     assert [tree.size_of(t) for t in tree.leaves] == [26, 25, 25, 25]
 
 
-def test_sibling_pairs_and_numbering():
-    tree = build_tree(256, 32)
-    assert tree.sibling_pairs(0) == [(2, 3)]
-    assert tree.sibling_pairs(1) == [(4, 5), (6, 7)]
-
-
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         build_tree(0, 10)
