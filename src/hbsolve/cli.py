@@ -27,18 +27,21 @@ def _positive_float(text):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="compression tolerance (default 1e-10)")
-    p.add_argument("--proxy-points", type=int, default=50,
-                   help="points on each proxy circle (default 50)")
-    p.add_argument("--proxy-radius-factor", type=float, default=1.5,
-                   help="proxy circle radius over bounding radius (default 1.5)")
-    p.add_argument("--mode", choices=("dense", "proxy"), default="proxy",
-                   help="compression mode (default proxy)")
+    from .config import CompressionConfig
+
+    lib = CompressionConfig()  # the library's defaults are the CLI's
+    p.add_argument("--tol", type=_positive_float, default=lib.tol,
+                   help="compression tolerance (default %(default)s)")
+    p.add_argument("--proxy-points", type=int, default=lib.proxy_points,
+                   help="points on each proxy circle (default %(default)s)")
+    p.add_argument("--proxy-radius-factor", type=float, default=lib.proxy_radius_factor,
+                   help="proxy circle radius over bounding radius (default %(default)s)")
+    p.add_argument("--mode", choices=("dense", "proxy"), default=lib.mode,
+                   help="compression mode (default %(default)s)")
     p.add_argument("--symmetrize", action="store_true",
                    help="share one basis between rows and columns per node")
-    p.add_argument("--target-leaf", type=int, default=64,
-                   help="target indices per tree leaf (default 64)")
+    p.add_argument("--target-leaf", type=int, default=lib.target_leaf,
+                   help="target indices per tree leaf (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized pieces (default 0)")
     p.add_argument("--threads", type=int, default=None,
@@ -122,7 +125,7 @@ def _load_rhs(spec, grid):
 
 
 def _config_from(args):
-    from .compression import CompressionConfig
+    from .config import CompressionConfig
 
     return CompressionConfig(
         tol=args.tol,

@@ -13,12 +13,14 @@ the far field with a small ring of proxy points: the harmonic far field
 of a source cluster is reproduced by monopole charges on a circle around
 it, so a node's interaction with everything outside its proxy circle is
 captured by log-kernel columns against that ring.  Only near-field
-entries (points of other nodes inside the circle, found with a k-d tree
-per level) are evaluated directly, which keeps the total cost O(N).
+entries (points of other nodes inside the circle, found with one k-d tree
+query per level and side) are evaluated directly, which keeps the total
+cost O(N).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import quadrature as quad
+from .config import CompressionConfig
 from .hbs import HbsMatrix, hbs_matvec
 # inverse_to_hbs stays importable here: perfbench's tracer wraps compression.inverse_to_hbs
 from .inversion import apply_inverse, hbs_invert, inverse_to_hbs  # noqa: F401
@@ -34,28 +37,6 @@ from .quadrature import QuadratureGrid
 from .tree import IndexTree, build_tree
 
 DENSE_MODE_GUARD = 8000
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    tol: float = 1e-10
-    proxy_points: int = 50
-    proxy_radius_factor: float = 1.5
-    symmetrize: bool = False
-    target_leaf: int = 64
-    mode: str = "dense"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.proxy_points < 8:
-            raise ValueError("proxy_points must be >= 8")
-        if self.proxy_radius_factor <= 1:
-            raise ValueError("proxy_radius_factor must exceed 1")
-        if self.target_leaf < 2:
-            raise ValueError("target_leaf must be >= 2")
-        if self.mode not in ("dense", "proxy"):
-            raise ValueError(f"mode must be 'dense' or 'proxy', got {self.mode!r}")
 
 
 @dataclass
@@ -162,50 +143,58 @@ class _DenseSampler:
 
 
 class _ProxySampler:
+    """Proxy rings and near-field lists are built once per level; a node's
+    sample then reads its own entries of them."""
+
     def __init__(self, grid, kernel, tree, cfg):
         self.grid = grid
         self.kernel = kernel
         self.tree = tree
         self.cfg = cfg
+        theta = 2 * np.pi * np.arange(cfg.proxy_points) / cfg.proxy_points
+        self.unit_ring = np.column_stack([np.cos(theta), np.sin(theta)])
 
     def level_context(self, level, active_r, active_c):
-        """Per-level k-d trees over the active points, for near-field lookup."""
-        ctx = {}
-        for name, active in (("r", active_r), ("c", active_c)):
-            nodes = list(self.tree.nodes_at_level(level))
-            idx = np.concatenate([active[tau] for tau in nodes])
-            owner = np.concatenate(
-                [np.full(len(active[tau]), tau) for tau in nodes]
-            )
-            ctx[name] = (cKDTree(self.grid.points[idx]), idx, owner)
-        return ctx
+        """The level's (p, P, 2) proxy rings and, per side, each node's
+        near field: the other nodes' active points inside its ring.
 
-    def _near(self, ctx_part, tau, center, radius):
-        kd, idx, owner = ctx_part
-        hits = kd.query_ball_point(center, radius)
-        hits = np.asarray(hits, dtype=int)
-        if hits.size == 0:
-            return np.empty(0, dtype=int)
-        keep = owner[hits] != tau
-        return idx[hits[keep]]
+        A ring is centered on the mean of all the points in the node's
+        contiguous index range and has proxy_radius_factor times their
+        largest distance from it, so it also encloses the active ones."""
+        nodes = self.tree.nodes_at_level(level)
+        starts = np.array([self.tree.ranges[tau][0] for tau in nodes])
+        sizes = np.diff(starts, append=self.tree.n)
+        pts = self.grid.points
+        centers = np.add.reduceat(pts, starts) / sizes[:, None]
+        d = pts - np.repeat(centers, sizes, axis=0)
+        r2 = np.maximum.reduceat(d[:, 0] ** 2 + d[:, 1] ** 2, starts)
+        radii = self.cfg.proxy_radius_factor * np.maximum(np.sqrt(r2), 1e-8)
+        rings = centers[:, None, :] + radii[:, None, None] * self.unit_ring
+        return (rings, self._near(nodes, active_r, centers, radii),
+                self._near(nodes, active_c, centers, radii))
+
+    def _near(self, nodes, active, centers, radii):
+        """One k-d query for the whole level, split into per-node lists."""
+        idx = np.concatenate([active[tau] for tau in nodes])
+        owner = np.repeat(np.arange(len(nodes)), [len(active[tau]) for tau in nodes])
+        hits = cKDTree(self.grid.points[idx]).query_ball_point(centers, radii)
+        counts = np.fromiter(map(len, hits), np.intp, len(hits))
+        flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
+        query = np.repeat(np.arange(len(nodes)), counts)
+        keep = owner[flat] != query
+        per_node = np.bincount(query[keep], minlength=len(nodes))
+        return np.split(idx[flat[keep]], np.cumsum(per_node)[:-1])
 
     def sample(self, level, tau, active_r, active_c, ctx):
-        pts = self.grid.points[np.union1d(active_r, active_c)]
-        center = pts.mean(axis=0)
-        radius = np.max(np.linalg.norm(pts - center, axis=1))
-        proxy_radius = self.cfg.proxy_radius_factor * max(radius, 1e-8)
-        theta = 2 * np.pi * np.arange(self.cfg.proxy_points) / self.cfg.proxy_points
-        proxy = center + proxy_radius * np.column_stack([np.cos(theta), np.sin(theta)])
-
-        near_c = self._near(ctx["c"], tau, center, proxy_radius)
-        near_r = self._near(ctx["r"], tau, center, proxy_radius)
+        rings, near_r, near_c = ctx
+        i = tau - 2**level
         R = np.hstack([
-            self.kernel.matrix(active_r, near_c),
-            self.kernel.row_proxy(active_r, proxy),
+            self.kernel.matrix(active_r, near_c[i]),
+            self.kernel.row_proxy(active_r, rings[i]),
         ])
         C = np.hstack([
-            self.kernel.matrix(near_r, active_c).T,
-            self.kernel.col_proxy(active_c, proxy),
+            self.kernel.matrix(near_r[i], active_c).T,
+            self.kernel.col_proxy(active_c, rings[i]),
         ])
         return R, C
 

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 COEFF_BOUND = 2.0
 
@@ -126,7 +127,14 @@ def id_row(B, tol, rank=None):
         return InterpolatoryDecomposition(np.empty((0, B.shape[0])), np.arange(B.shape[0]), 0)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="r", check_finite=False)
-    R = R[: min(B.shape)]
+    # LAPACK's CPQR directly (what scipy.linalg.qr(B.T, pivoting=True)
+    # runs), with the same workspace query so R and the pivots match it bit
+    # for bit; the query leaves B.T alone, the factorization works on a copy
+    lwork = int(lapack.dgeqp3(B.T, lwork=-1, overwrite_a=True)[3][0])
+    qr, piv, _, _, info = lapack.dgeqp3(B.T, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqp3 failed with info = {info}")
+    piv -= 1
+    R = np.triu(qr[: min(B.shape)])
     return InterpolatoryDecomposition(
         R, piv, _adaptive_rank(R, tol) if rank is None else rank)

@@ -18,8 +18,8 @@ same kernel: u(z) = sum_j K(z, x_j) w_j q_j for z inside.
 
 Every kernel block is evaluated from two n x m coordinate-difference arrays
 and r^2: weights, normals and -1/(2 pi) fold into per-column scales applied
-in place, and self pairs (equal global indices) are found from the index
-arrays, then overwritten with the curvature limit.
+in place, and self pairs (equal global indices, r^2 == 0) are overwritten
+with the curvature limit.
 """
 
 from __future__ import annotations
@@ -119,37 +119,24 @@ def _dipole(dx, dy, r2, normals, scale):
     return dx
 
 
-_NO_PAIRS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-
-
-def _self_pairs(rows, cols):
-    """All (i, j) with rows[i] == cols[j], repeated indices included."""
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    lo = np.searchsorted(sorted_cols, rows, "left")
-    counts = np.searchsorted(sorted_cols, rows, "right") - lo
-    if not counts.any():
-        return _NO_PAIRS
-    i = np.repeat(np.arange(rows.shape[0]), counts)
-    # pair p of row i sits at sorted position lo[i] + (p - first pair of row i)
-    shift = lo - np.cumsum(counts) + counts
-    return i, order[np.arange(i.shape[0]) + shift[i]]
-
-
 def _grid_block(grid, rows, cols, scale):
     """Dipole block between grid nodes with the self pairs (i, j) left for
-    the caller to overwrite; coincident *distinct* nodes raise."""
+    the caller to overwrite; coincident *distinct* nodes raise.
+
+    A self pair (rows[i] == cols[j]) has r2 == 0 exactly, so one min over
+    r2 finds both: only a block with a near-zero distance (in practice a
+    leaf's diagonal block) looks at its hits, and any hit between distinct
+    indices is a degenerate grid."""
     dx, dy, r2 = _differences(grid.points[rows], grid.points[cols])
-    i, j = _self_pairs(rows, cols)
-    if i.size:
-        r2[i, j] = np.inf
+    i = j = np.empty(0, dtype=np.intp)
     if r2.size and r2.min() < COINCIDENT_NODE_TOL**2:
-        raise DegenerateGridError(
-            f"distinct quadrature nodes closer than {COINCIDENT_NODE_TOL:g}"
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        K = _dipole(dx, dy, r2, grid.normals[cols], scale)
-    return K, i, j
+        i, j = np.nonzero(r2 < COINCIDENT_NODE_TOL**2)
+        if np.any(rows[i] != cols[j]):
+            raise DegenerateGridError(
+                f"distinct quadrature nodes closer than {COINCIDENT_NODE_TOL:g}"
+            )
+        r2[i, j] = 1.0  # dx = dy = 0 there, so the entry is a finite 0
+    return _dipole(dx, dy, r2, grid.normals[cols], scale), i, j
 
 
 def nystrom_block(grid: QuadratureGrid, rows, cols):

@@ -234,8 +234,9 @@ def test_solve_one_column_output_format(tmp_path, monkeypatch):
     assert cli.main(["solve", grid_path, str(tmp_path / "rhs.txt"), "-o", str(sol)]) == 0
     assert shapes == [(160,)]  # a one-column file is one right-hand side
     monkeypatch.undo()
-    # one value per line, as a 1-D solve with the CLI's default settings gives it
-    q, _ = hb.solve_workflow(grid, hb.CompressionConfig(mode="proxy"),
+    # one value per line, as a 1-D solve with the library's default settings
+    # gives it: the CLI takes its defaults from CompressionConfig
+    q, _ = hb.solve_workflow(grid, hb.CompressionConfig(),
                              np.loadtxt(tmp_path / "rhs.txt"))
     assert sol.read_text() == "".join(f"{v:.17g}\n" for v in q)
 

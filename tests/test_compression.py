@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import hbsolve as hb
 from hbsolve import compression
@@ -17,7 +18,7 @@ from conftest import circle_grid, star_grid
 
 
 def test_config_validation():
-    CompressionConfig()  # defaults are valid
+    assert CompressionConfig().mode == "proxy"  # defaults are valid; dense is opt-in
     with pytest.raises(ValueError, match="tol"):
         CompressionConfig(tol=0.0)
     with pytest.raises(ValueError, match="proxy_points"):
@@ -83,7 +84,7 @@ def test_dense_shape_mismatch():
 
 def test_skeletons_nest():
     grid = star_grid(32, 10)  # N = 320
-    Ah, skel = compress(grid, CompressionConfig(target_leaf=40))
+    Ah, skel = compress(grid, CompressionConfig(mode="dense", target_leaf=40))
     tree = Ah.tree
     for level in range(1, tree.levels):
         for tau in tree.nodes_at_level(level):
@@ -194,7 +195,7 @@ def test_proxy_rank_inflation_is_mild():
 
 def test_compress_builds_tree_from_target_leaf():
     grid = circle_grid(16, 10)
-    Ah, _ = compress(grid, CompressionConfig(target_leaf=40))
+    Ah, _ = compress(grid, CompressionConfig(mode="dense", target_leaf=40))
     assert Ah.tree.levels == 2
     assert all(Ah.tree.size_of(t) == 40 for t in Ah.tree.leaves)
 
@@ -213,7 +214,7 @@ def test_solve_workflow_interior_reproduction():
 
 def test_solve_workflow_zero_rhs():
     grid = circle_grid(16, 10)
-    q, _ = solve_workflow(grid, CompressionConfig(), np.zeros(grid.size))
+    q, _ = solve_workflow(grid, CompressionConfig(mode="dense"), np.zeros(grid.size))
     assert np.allclose(q, 0.0, atol=1e-13)
 
 
@@ -297,7 +298,7 @@ def test_report_schema():
     grid = circle_grid(32, 10)
     rhs = hb.harmonic_trace(grid, np.array([2.0, 1.0]))
     _, report = solve_workflow(
-        grid, CompressionConfig(), rhs, estimate_error=True, seed=1
+        grid, CompressionConfig(mode="dense"), rhs, estimate_error=True, seed=1
     )
     assert report["schema_version"] == 3
     assert set(report["timings"]) == {"compress", "invert", "apply"}
@@ -328,3 +329,54 @@ def test_solve_workflow_applies_the_factored_inverse(star, request):
         # and the paper's reformat to HBS form gives the same solution
         ref = hb.hbs_matvec(inv_hbs, rhs)
         assert np.all(np.linalg.norm(q - ref, axis=0) <= 1e-11 * np.linalg.norm(ref, axis=0))
+
+
+def _decompose_grid(contour, panels, corner_levels):
+    return hb.build_grid(contour, hb.decompose(contour, panels, corner_levels), 10)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.one_of(  # N = 300-700, or 800-1200 for the corner stars
+           st.builds(lambda arms, amp, panels: _decompose_grid(hb.SmoothStar(arms, amp), panels, 0),
+                     st.integers(3, 7), st.floats(0.1, 0.5), st.integers(30, 70)),
+           st.builds(lambda seg, r1, r2, levels: _decompose_grid(
+                         hb.CornerStar(seg, (r1, r2)), 2, levels),
+                     st.sampled_from([8, 10, 12]), st.floats(0.85, 0.95),
+                     st.floats(1.05, 1.15), st.integers(4, 6))),
+       st.sampled_from([16, 32, 64]))
+def test_level_near_fields_match_brute_force(grid, leaf):
+    # every level of a proxy compression: the rings enclose their node's
+    # active points, and one k-d query per level and side gives each node
+    # exactly the other nodes' active points inside its ring
+    seen = []
+
+    class Recording(compression._ProxySampler):
+        def level_context(self, level, active_r, active_c):
+            ctx = super().level_context(level, active_r, active_c)
+            seen.append((level, dict(active_r), dict(active_c), ctx))
+            return ctx
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compression, "_ProxySampler", Recording)
+        Ah, _ = compress(grid, CompressionConfig(target_leaf=leaf))
+    tree = Ah.tree
+    assert [s[0] for s in seen] == list(range(tree.levels, 0, -1))
+    pts = grid.points
+    for level, active_r, active_c, (rings, near_r, near_c) in seen:
+        nodes = list(tree.nodes_at_level(level))
+        assert rings.shape == (len(nodes), 50, 2)
+        for i, tau in enumerate(nodes):
+            center = rings[i].mean(axis=0)
+            radius = np.linalg.norm(rings[i] - center, axis=1)
+            assert np.ptp(radius) <= 1e-12 * radius[0]
+            radius = radius[0]
+            own = tree.indices(tau)
+            for active, near in ((active_r, near_r[i]), (active_c, near_c[i])):
+                assert np.all(np.linalg.norm(pts[active[tau]] - center, axis=1) < radius)
+                assert not np.isin(near, own).any()
+                others = np.concatenate([active[t] for t in nodes if t != tau])
+                dist = np.linalg.norm(pts[others] - center, axis=1)
+                # exact up to rounding on the ring itself
+                assert np.all(np.isin(others[dist <= radius * (1 - 1e-12)], near))
+                assert np.all(np.isin(near, others[dist <= radius * (1 + 1e-12)]))
+                assert len(np.unique(near)) == len(near)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hbsolve import lowrank
@@ -95,6 +96,38 @@ def kahan(n, c=0.285):
     return K @ np.diag((1 - 1e-10) ** np.arange(n))
 
 
+def assert_same_as_scipy_qr(B, tol, rank=None):
+    """id_row runs LAPACK's CPQR itself; R, pivots, rank, skeleton and
+    coefficients must be bit-identical to those from scipy.linalg.qr."""
+    dec = id_row(B, tol, rank)
+    R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="r", check_finite=False)
+    R = R[: min(B.shape)]
+    if rank is None:
+        rank = lowrank._adaptive_rank(R, tol)
+    J, U = lowrank._id_from_factor(R, piv, rank)
+    assert np.array_equal(dec.r_factor, R)
+    assert np.array_equal(dec.pivots, piv)
+    assert dec.rank == rank
+    assert np.array_equal(dec.skeleton, J)
+    assert np.array_equal(dec.coeffs, U)
+    return dec
+
+
+def test_direct_cpqr_matches_scipy_qr():
+    rng = np.random.default_rng(10)
+    B0 = rng.standard_normal((40, 90))
+    # past min(m, n) = 128 geqp3 runs blocked code, whose result depends on
+    # the workspace size, so the random square case is larger than that
+    for B in (rng.standard_normal((160, 160)),           # random square
+              low_rank_matrix(rng, 50, 60, 6, noise=0.0),  # rank-deficient
+              low_rank_matrix(rng, 120, 30, 12),           # tall
+              B0, B0[:, ::2],                              # wide; strided input
+              rng.standard_normal((1, 25))):               # single row
+        before = B.copy()
+        assert_same_as_scipy_qr(B, 1e-10)
+        assert np.array_equal(B, before)  # the caller's matrix is left alone
+
+
 def test_truncate_matches_pinned_rank():
     rng = np.random.default_rng(9)
     B = rng.standard_normal((50, 70)) * np.logspace(0, -14, 70)[None, :]
@@ -121,7 +154,8 @@ def test_truncate_keeps_maxvol_fallback(monkeypatch):
         assert calls == [k]  # CPQR overshot the bound at this rank
         assert np.max(np.abs(cut.coeffs)) <= COEFF_BOUND
         assert np.array_equal(cut.coeffs[cut.skeleton], np.eye(k))
-        fresh = id_row(B, 0.5, rank=k)
+        # also through the fallback, the direct CPQR is scipy.linalg.qr's
+        fresh = assert_same_as_scipy_qr(B, 0.5, rank=k)
         assert np.array_equal(cut.skeleton, fresh.skeleton)
         assert np.array_equal(cut.coeffs, fresh.coeffs)
 

@@ -274,3 +274,14 @@ def test_coincident_nodes_raise_in_any_block():
                        (np.array([17, 5]), np.array([5]))):
         with pytest.raises(quad.DegenerateGridError):
             quad.nystrom_block(grid, rows, cols)
+    # nearly coincident (r2 > 0, below the tolerance) inside an off-diagonal
+    # block, which has no self pairs
+    grid.points[5] = grid.points[17] + [4e-15, 0.0]
+    with pytest.raises(quad.DegenerateGridError):
+        quad.nystrom_block(grid, np.arange(0, 10), np.arange(10, 20))
+    # repeated indices on both sides of a good grid: the self entries (0, 1),
+    # (1, 1) and (2, 0) are diagonal entries, the others plain kernel entries
+    good = star_grid(24, 10)
+    rows, cols = np.array([3, 3, 7]), np.array([7, 3])
+    A = hb.assemble_dlp(good)
+    assert np.array_equal(quad.nystrom_block(good, rows, cols), A[np.ix_(rows, cols)])
