@@ -158,13 +158,19 @@ class _ProxySampler:
         """The level's (p, P, 2) proxy rings and, per side, each node's
         near field: the other nodes' active points inside its ring.
 
-        A ring is centered on the mean of all the points in the node's
-        contiguous index range and has proxy_radius_factor times their
-        largest distance from it, so it also encloses the active ones."""
+        A ring is centered on the mean of the node's active row and column
+        points and has proxy_radius_factor times their largest distance
+        from it.  A node's active points lie in its contiguous index range,
+        so one mask over the level, read in index order, holds every node's
+        union of them back to back."""
         nodes = self.tree.nodes_at_level(level)
-        starts = np.array([self.tree.ranges[tau][0] for tau in nodes])
-        sizes = np.diff(starts, append=self.tree.n)
-        pts = self.grid.points
+        mark = np.zeros(self.tree.n, dtype=bool)
+        for active in (active_r, active_c):
+            mark[np.concatenate([active[tau] for tau in nodes])] = True
+        union = np.flatnonzero(mark)
+        starts = np.searchsorted(union, [self.tree.ranges[tau][0] for tau in nodes])
+        sizes = np.diff(starts, append=union.size)
+        pts = self.grid.points[union]
         centers = np.add.reduceat(pts, starts) / sizes[:, None]
         d = pts - np.repeat(centers, sizes, axis=0)
         r2 = np.maximum.reduceat(d[:, 0] ** 2 + d[:, 1] ** 2, starts)

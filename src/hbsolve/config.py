@@ -12,10 +12,10 @@ class CompressionConfig:
     proxy_points: int = 50
     proxy_radius_factor: float = 1.5
     symmetrize: bool = False
-    # swept over 64..256 on smooth and cornered stars up to N = 80k, at equal
-    # accuracy: 64 is slower in every stage; 192 and 256 invert slower and,
-    # at N >= 20k, store 20-40 % more than 128
-    target_leaf: int = 128
+    # 96..128 (78-point leaves from N = 10k to 80k) compress and apply
+    # faster, but then the inverse apply outgrows the last-level cache
+    # between N = 10k and 20k and stops scaling linearly there
+    target_leaf: int = 64
     # dense mode needs the N x N matrix (N <= DENSE_MODE_GUARD); it stays the
     # oracle that proxy mode is checked against
     mode: str = "proxy"

@@ -171,7 +171,11 @@ def test_block_apply_matches_columns_on_random_hbs(n, target_leaf, max_rank, m, 
 
 
 def test_block_apply_inverse_matches_columns(rng, smooth_star_600, corner_star_8000):
-    invs = [smooth_star_600[2], corner_star_8000[2], hbs_invert(depth_zero_hbs(rng))]
+    # the smooth star at leaf 64 and 128 whatever the default leaf is
+    grid = smooth_star_600[0]
+    invs = [*(hbs_invert(hb.compress(grid, hb.CompressionConfig(mode="proxy", target_leaf=leaf))[0])
+              for leaf in (64, 128)),
+            corner_star_8000[2], hbs_invert(depth_zero_hbs(rng))]
     for inv in invs:
         n = inv.tree.n
         for m in BLOCK_WIDTHS:
