@@ -91,7 +91,7 @@ def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
     is the exact submatrix oracle."""
     if tree.levels == 0:
         idx = tree.indices(1)
-        A = HbsMatrix(tree=tree, D={1: entry(idx, idx)}, U={}, V={}, B12={}, B21={})
+        A = HbsMatrix(tree=tree, D={1: entry(idx, idx)})
         return A, SkeletonSet(row={1: idx}, col={1: idx})
 
     active_r = {tau: tree.indices(tau) for tau in tree.leaves}

@@ -28,11 +28,11 @@ EXPAND_DENSE_GUARD = 5000
 @dataclass
 class HbsMatrix:
     tree: IndexTree
-    D: dict                     # leaf -> (n, n); whole matrix at node 1 if levels == 0
-    U: dict                     # non-root node -> basis (empty dict if levels == 0)
-    V: dict
-    B12: dict                   # parent -> A~(left child, right child)
-    B21: dict
+    D: dict = field(default_factory=dict)    # leaf -> (n, n); all of it at node 1 if levels == 0
+    U: dict = field(default_factory=dict)    # non-root node -> basis (empty if levels == 0)
+    V: dict = field(default_factory=dict)
+    B12: dict = field(default_factory=dict)  # parent -> A~(left child, right child)
+    B21: dict = field(default_factory=dict)
     # node -> (local row skeleton, local col skeleton) of an interpolatory
     # factorization: U[tau][row skeleton] = I and V[tau][col skeleton] = I
     local_skeletons: dict = field(default_factory=dict, repr=False)
@@ -163,63 +163,65 @@ def expand_dense(A: HbsMatrix):
     return _expand_node(A, 1)
 
 
-def validate(A: HbsMatrix):
-    """Dimensional and structural audit; returns a list of violation strings."""
-    tree = A.tree
-    issues = []
+def block_layout(levels, tau, inverse=False, n=0, k=0, k1=0, k2=0):
+    """Node tau's blocks in HBS1 record order, as ((name, (rows, cols)), ...),
+    in a depth-`levels` HBS matrix or, if `inverse`, its factored inverse.
 
-    def check(cond, msg):
-        if not cond:
-            issues.append(msg)
+    The shapes hold for n the node's size at a leaf and its children's
+    stacked ranks k1 + k2 at a parent, and k its rank.
+    """
+    if inverse:
+        if tau == 1:
+            return (("G", (n, n)),)
+        return (("E", (n, k)), ("F", (n, k)), ("G", (n, n)), ("Dhat", (k, k)))
+    if levels == 0:
+        return (("D", (n, n)),)
+    if tau == 1:
+        return (("B12", (k1, k2)), ("B21", (k2, k1)))
+    if tau >> levels:  # a leaf
+        return (("D", (n, n)), ("U", (n, k)), ("V", (n, k)))
+    return (("U", (n, k)), ("V", (n, k)), ("B12", (k1, k2)), ("B21", (k2, k1)))
 
-    if tree.levels == 0:
-        n = tree.n
-        check(1 in A.D and A.D[1].shape == (n, n), f"node 1: expected dense D of shape ({n}, {n})")
-        check(not A.U and not A.V and not A.B12, "depth-0 tree must carry only D[1]")
-        if 1 in A.D:
-            check(np.all(np.isfinite(A.D[1])), "node 1: non-finite entries in D")
-        return issues
 
-    for tau in tree.leaves:
-        n = tree.size_of(tau)
-        for name, store in (("D", A.D), ("U", A.U), ("V", A.V)):
-            check(tau in store, f"leaf {tau}: missing {name}")
-        if tau in A.D:
-            check(A.D[tau].shape == (n, n), f"leaf {tau}: D shape {A.D[tau].shape}, expected ({n}, {n})")
-        if tau in A.U and tau in A.V:
-            check(A.U[tau].shape[0] == n, f"leaf {tau}: U has {A.U[tau].shape[0]} rows, expected {n}")
-            check(A.V[tau].shape[0] == n, f"leaf {tau}: V has {A.V[tau].shape[0]} rows, expected {n}")
-            check(A.U[tau].shape[1] == A.V[tau].shape[1],
-                  f"leaf {tau}: U rank {A.U[tau].shape[1]} != V rank {A.V[tau].shape[1]}")
-
-    for level in range(tree.levels - 1, -1, -1):
-        for tau in tree.nodes_at_level(level):
-            s1, s2 = 2 * tau, 2 * tau + 1
-            if s1 not in A.U or s2 not in A.U:
+def block_errors(tree, stores, inverse=False):
+    """Missing, extra and misshapen blocks in `stores` ({name: {node:
+    block}}) of an HBS matrix or, if `inverse`, its factored inverse, against
+    block_layout.  A node's rank is its U's column count (matrix) or its
+    Dhat's order (inverse).  Nodes are checked fine to coarse, so a block
+    that misstates its node's rank is reported before the parent's blocks
+    that the wrong rank then misfits."""
+    axis = 0 if inverse else 1
+    rank = {tau: b.shape[axis] for tau, b in stores.get("Dhat" if inverse else "U", {}).items()}
+    levels, errors, found = tree.levels, [], 0
+    for tau in range(tree.node_count, 0, -1):
+        if tau >> levels:  # a leaf
+            start, stop = tree.ranges[tau]
+            n, k1, k2 = stop - start, 0, 0
+        else:
+            k1, k2 = rank.get(2 * tau, 0), rank.get(2 * tau + 1, 0)
+            n = k1 + k2
+        for name, shape in block_layout(levels, tau, inverse, n, rank.get(tau, 0), k1, k2):
+            block = stores[name].get(tau)
+            if block is None:
+                errors.append(f"node {tau}: missing {name}")
                 continue
-            k1, k2 = A.U[s1].shape[1], A.U[s2].shape[1]
-            check(tau in A.B12 and tau in A.B21, f"parent {tau}: missing B blocks")
-            if tau in A.B12:
-                check(A.B12[tau].shape == (k1, k2),
-                      f"parent {tau}: B12 shape {A.B12[tau].shape}, expected ({k1}, {k2})")
-            if tau in A.B21:
-                check(A.B21[tau].shape == (k2, k1),
-                      f"parent {tau}: B21 shape {A.B21[tau].shape}, expected ({k2}, {k1})")
-            if tau == 1:
-                check(1 not in A.U and 1 not in A.V, "root must not carry U/V")
-            else:
-                check(tau in A.U and tau in A.V, f"parent {tau}: missing U/V")
-                if tau in A.U:
-                    check(A.U[tau].shape[0] == k1 + k2,
-                          f"parent {tau}: U has {A.U[tau].shape[0]} rows, expected {k1 + k2}")
-                if tau in A.V:
-                    check(A.V[tau].shape[0] == k1 + k2,
-                          f"parent {tau}: V has {A.V[tau].shape[0]} rows, expected {k1 + k2}")
-                if tau in A.U and tau in A.V:
-                    check(A.U[tau].shape[1] == A.V[tau].shape[1],
-                          f"parent {tau}: U rank {A.U[tau].shape[1]} != V rank {A.V[tau].shape[1]}")
+            found += 1
+            if block.shape != shape:
+                errors.append(f"node {tau}: {name} shape {block.shape}, expected {shape}")
+    if sum(map(len, stores.values())) > found:  # a block that no node's layout names
+        errors += [f"node {tau}: unexpected {name}" for name, store in stores.items()
+                   for tau in store if tau not in range(1, tree.node_count + 1)
+                   or name not in dict(block_layout(levels, tau, inverse))]
+    return errors
 
-    for name, store in (("D", A.D), ("U", A.U), ("V", A.V), ("B12", A.B12), ("B21", A.B21)):
+
+def validate(A: HbsMatrix):
+    """Dimensional and structural audit; returns a list of violation strings:
+    block_errors, non-finite entries, and skeleton rows of U or V that are
+    not the identity."""
+    stores = {"D": A.D, "U": A.U, "V": A.V, "B12": A.B12, "B21": A.B21}
+    issues = block_errors(A.tree, stores)
+    for name, store in stores.items():
         for tau, block in store.items():
             if not np.all(np.isfinite(block)):
                 issues.append(f"node {tau}: non-finite entries in {name}")

@@ -143,10 +143,10 @@ class HbsInverse:
     reduced 2x2 block system (or of the whole matrix when levels == 0)."""
 
     tree: IndexTree
-    E: dict
-    F: dict
-    G: dict
-    Dhat: dict
+    E: dict = field(default_factory=dict)
+    F: dict = field(default_factory=dict)
+    G: dict = field(default_factory=dict)
+    Dhat: dict = field(default_factory=dict)
     telemetry: dict = field(default_factory=dict, repr=False)
 
 
@@ -185,10 +185,16 @@ def hbs_invert(A: HbsMatrix) -> HbsInverse:
 
 def apply_inverse(inv: HbsInverse, u):
     """q = A^-1 u for u of shape (N,) or (N, m): upward pass through F, dense
-    root solve, downward pass through E and G.  Cost O(N k) per column."""
-    return _telescope(inv.tree, u, inv.F,
-                      lambda tau, z, k1, out: np.matmul(inv.G[tau], z, out=out),
-                      inv.E, inv.G)
+    root solve, downward pass through E and G.  Cost O(N k) per column.
+    Raises LinAlgError if q has a NaN or Inf entry (a non-finite u, or a
+    factor corrupted on disk: `load` does not scan an inverse's entries)."""
+    q = _telescope(inv.tree, u, inv.F,
+                   lambda tau, z, k1, out: np.matmul(inv.G[tau], z, out=out),
+                   inv.E, inv.G)
+    if not np.isfinite(q).all():
+        raise np.linalg.LinAlgError("non-finite result of apply_inverse: the right-hand "
+                                    "side or the inverse's factors hold NaN or Inf")
+    return q
 
 
 def inverse_transpose(inv: HbsInverse) -> HbsInverse:
@@ -212,7 +218,7 @@ def inverse_to_hbs(inv: HbsInverse) -> HbsMatrix:
     """
     tree = inv.tree
     if tree.levels == 0:
-        return HbsMatrix(tree=tree, D={1: inv.G[1].copy()}, U={}, V={}, B12={}, B21={})
+        return HbsMatrix(tree=tree, D={1: inv.G[1].copy()})
 
     G = {tau: g.copy() for tau, g in inv.G.items()}
     B12, B21 = {}, {}
@@ -244,7 +250,7 @@ def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
     """
     tree = A.tree
     if tree.levels == 0:
-        return HbsMatrix(tree=tree, D={1: A.D[1].copy()}, U={}, V={}, B12={}, B21={})
+        return HbsMatrix(tree=tree, D={1: A.D[1].copy()})
 
     D = {tau: d.copy() for tau, d in A.D.items()}
     U = {tau: u.copy() for tau, u in A.U.items()}

@@ -25,7 +25,6 @@ with the curvature limit.
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,14 +195,24 @@ def eval_dlp_potential(grid: QuadratureGrid, density, targets):
     return _dipole(dx, dy, r2, grid.normals, grid.weights) @ np.asarray(density, float)
 
 
+def _row_chunks(count, n):
+    """Slices of range(count) whose rows against n nodes hold ~2^20 entries,
+    so per-pair temporaries stay a few MiB at any N."""
+    rows = max(1, 2**20 // n)
+    return (slice(a, a + rows) for a in range(0, count, rows))
+
+
 def winding_number(grid: QuadratureGrid, targets):
     """Winding number of the (ordered, closed) node polygon around targets."""
     targets = np.atleast_2d(np.asarray(targets, float))
-    v = grid.points[None, :, :] - targets[:, None, :]
-    w = np.roll(v, -1, axis=1)
-    cross = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-    dot = np.einsum("ijk,ijk->ij", v, w)
-    return np.sum(np.arctan2(cross, dot), axis=1) / (2 * np.pi)
+    out = np.empty(targets.shape[0])
+    for rows in _row_chunks(targets.shape[0], grid.size):
+        v = grid.points[None, :, :] - targets[rows, None, :]
+        w = np.roll(v, -1, axis=1)
+        cross = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        dot = np.einsum("ijk,ijk->ij", v, w)
+        out[rows] = np.sum(np.arctan2(cross, dot), axis=1) / (2 * np.pi)
+    return out
 
 
 def interior_probe_points(grid: QuadratureGrid, count=10):
@@ -228,7 +237,9 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     cands = cands[inside]
     if cands.shape[0] == 0:
         raise ValueError("no interior probe points found; geometry too thin?")
-    dist = np.min(np.linalg.norm(cands[:, None, :] - pts[None, :, :], axis=2), axis=1)
+    dist = np.concatenate([
+        np.min(np.linalg.norm(cands[rows, None, :] - pts[None, :, :], axis=2), axis=1)
+        for rows in _row_chunks(cands.shape[0], grid.size)])
     order = np.argsort(-dist)
     return cands[order[:count]]
 
@@ -303,23 +314,3 @@ def load_grid_csv(path) -> QuadratureGrid:
         panel_of=panel_of,
         curvature=_curvature_from_panels(t, points, panel_of),
     )
-
-
-DMAT_MAGIC = b"DMAT"
-
-
-def save_dense(path, A):
-    """Binary dense dump: 16-byte header (magic, u32 rows, u32 cols, pad)."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", DMAT_MAGIC, A.shape[0], A.shape[1], 0))
-        f.write(A.tobytes())
-
-
-def load_dense(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, rows, cols, _ = struct.unpack("<4sIII", f.read(16))
-        if magic != DMAT_MAGIC:
-            raise ValueError(f"not a DMAT file: bad magic {magic!r}")
-        data = np.frombuffer(f.read(rows * cols * 8), dtype=np.float64)
-    return data.reshape(rows, cols).copy()

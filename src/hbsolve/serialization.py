@@ -4,7 +4,8 @@ Layout: a 16-byte header (magic "HBS1", u32 N, u32 levels, u32
 target_leaf, all little-endian), then one record per tree node in node
 number order.  A record is (u32 node_id, u32 role, u32 block_count)
 followed by the blocks, each as (u32 rows, u32 cols, row-major float64
-data).  Roles identify the block inventory:
+data).  The role numbers the node's place; its blocks are hbs.block_layout
+in that order:
 
     0  dense matrix at a depth-0 root         [D]
     1  leaf of an HBS matrix                  [D, U, V]
@@ -20,20 +21,16 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import defaultdict
 
 import numpy as np
 
-from .hbs import HbsMatrix, validate
+from .hbs import HbsMatrix, block_errors, block_layout, validate
 from .inversion import HbsInverse
 from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
 _HEADER, _RECORD, _SHAPE = struct.Struct("<4sIII"), struct.Struct("<III"), struct.Struct("<II")
-
-
-# the blocks of each role, in file order, named as the container fields
-_ROLE_BLOCKS = {0: ("D",), 1: ("D", "U", "V"), 2: ("U", "V", "B12", "B21"),
-                3: ("B12", "B21"), 9: ("E", "F", "G", "Dhat"), 10: ("G",)}
 
 
 def _role(levels, tau, inverse):
@@ -50,10 +47,9 @@ def _save(path, obj, inverse, target_leaf):
     with open(path, "wb") as f:
         f.write(_HEADER.pack(HBS_MAGIC, tree.n, tree.levels, target_leaf))
         for tau in range(1, tree.node_count + 1):
-            role = _role(tree.levels, tau, inverse)
-            names = _ROLE_BLOCKS[role]
-            f.write(_RECORD.pack(tau, role, len(names)))
-            for name in names:
+            blocks = block_layout(tree.levels, tau, inverse)
+            f.write(_RECORD.pack(tau, _role(tree.levels, tau, inverse), len(blocks)))
+            for name, _ in blocks:
                 b = np.ascontiguousarray(getattr(obj, name)[tau], dtype=np.float64)
                 f.write(_SHAPE.pack(*b.shape))
                 f.write(b.tobytes())
@@ -78,7 +74,7 @@ class _Reader:
         self.pool = np.empty(-(-size // 8))
         self.raw = self.pool.view(np.uint8)
         self.size = f.readinto(self.raw[:size])
-        self.at = 0
+        self.at, self.role_names = 0, {}
 
     def skip(self, nbytes, what, tau=0):
         """Claim the next nbytes, raising if the file ends first."""
@@ -95,18 +91,24 @@ class _Reader:
         self.skip(fields.size, what, tau)
         return fields.unpack_from(self.raw, at)
 
-    def record(self, tau, roles):
-        """Role and named blocks of node tau's record; its role must be one
-        of `roles`."""
+    def record(self, tau, levels, kinds):
+        """Kind (True for an inverse) and named blocks of node tau's record
+        in a depth-`levels` file; its role must be that of one of `kinds`."""
         at = self.at
         node, role, count = self.take(_RECORD, "record", tau)
         if node != tau:
             raise ValueError(f"record at byte {at} is for node {node}, expected "
                              f"node {tau}: records must follow node order")
-        if role not in roles:
+        for inverse in kinds:
+            if role == _role(levels, tau, inverse):
+                break
+        else:
+            expected = (str(_role(levels, tau, inverse)) for inverse in kinds)
             raise ValueError(f"unexpected role {role} at node {tau} (byte {at}), "
-                             f"expected {' or '.join(map(str, roles))}")
-        names = _ROLE_BLOCKS[role]
+                             f"expected {' or '.join(expected)}")
+        names = self.role_names.get(role)
+        if names is None:  # a role fixes the node's place, so its block names
+            names = self.role_names[role] = [name for name, _ in block_layout(levels, tau, inverse)]
         if count != len(names):
             raise ValueError(f"node {tau} (byte {at}): role {role} has "
                              f"{len(names)} blocks, the record says {count}")
@@ -119,32 +121,12 @@ class _Reader:
                 self.raw[at - 4:self.at - 4] = self.raw[at:self.at]
                 at -= 4
             blocks[name] = self.pool[at // 8:at // 8 + rows * cols].reshape(rows, cols)
-        return role, blocks
+        return inverse, blocks
 
     def end(self):
         if self.at != self.size:
             raise ValueError(f"{self.size - self.at} trailing bytes after the "
                              f"last record, at byte {self.at}")
-
-
-def _inverse_shape_errors(inv: HbsInverse):
-    """Block shapes of a factored inverse against the tree's sizes and the
-    ranks (Dhat sizes) of each node's children."""
-    tree = inv.tree
-    errors = []
-    for tau in range(1, tree.node_count + 1):
-        if tree.is_leaf(tau):
-            m = tree.size_of(tau)
-        else:
-            m = inv.Dhat[2 * tau].shape[0] + inv.Dhat[2 * tau + 1].shape[0]
-        k = inv.Dhat[tau].shape[0] if tau > 1 else 0
-        shapes = {"G": (m, m)} if tau == 1 else {
-            "E": (m, k), "F": (m, k), "G": (m, m), "Dhat": (k, k)}
-        for name, shape in shapes.items():
-            got = getattr(inv, name)[tau].shape
-            if got != shape:
-                errors.append(f"node {tau}: {name} shape {got}, expected {shape}")
-    return errors
 
 
 def load(path):
@@ -155,7 +137,8 @@ def load(path):
     block count that does not fit the node's place in the tree, or block
     shapes that do not fit the tree's sizes and the neighbouring ranks.
     These checks cost O(#records); a loaded HbsMatrix also passes
-    `validate`, which scans every entry.
+    `validate`, which scans every entry.  An HbsInverse's entries are not
+    scanned here: `apply_inverse` raises on a non-finite result.
     """
     with open(path, "rb") as f:
         r = _Reader(f)
@@ -165,25 +148,17 @@ def load(path):
         if n >> levels == 0:
             raise ValueError(f"header: N = {n} cannot fill the 2^{levels} leaves "
                              f"of a depth-{levels} tree")
-        matrix_root, inverse_root = _role(levels, 1, False), _role(levels, 1, True)
-        role, blocks = r.record(1, (matrix_root, inverse_root))
-        inverse = role == inverse_root
-        names = ("E", "F", "G", "Dhat") if inverse else ("D", "U", "V", "B12", "B21")
-        stores = {name: {} for name in names}
+        kinds, stores = (False, True), defaultdict(dict)
         for tau in range(1, 2 << levels):
-            if tau > 1:
-                role, blocks = r.record(tau, (_role(levels, tau, inverse),))
+            inverse, blocks = r.record(tau, levels, kinds)
+            kinds = (inverse,)
             for name, block in blocks.items():
                 stores[name][tau] = block
         r.end()
     # the file held a record per node, so the tree is no larger than the file
     tree = tree_with_levels(n, levels)
-    if inverse:
-        out = HbsInverse(tree=tree, **stores)
-        errors = _inverse_shape_errors(out)
-    else:
-        out = HbsMatrix(tree=tree, **stores)
-        errors = validate(out)
+    out = (HbsInverse if inverse else HbsMatrix)(tree, **stores)
+    errors = block_errors(tree, stores, inverse=True) if inverse else validate(out)
     if errors:
         raise ValueError(f"inconsistent HBS1 file: {'; '.join(errors[:3])}")
     return out

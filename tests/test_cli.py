@@ -153,6 +153,23 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_solution_exits_3(tmp_path, monkeypatch, capsys):
+    import hbsolve.compression
+
+    grid_path = discretize(tmp_path)
+    invert = hbsolve.compression.hbs_invert
+
+    def corrupted(A):
+        inv = invert(A)
+        inv.G[1][0, 0] = np.nan
+        return inv
+
+    monkeypatch.setattr(hbsolve.compression, "hbs_invert", corrupted)
+    assert cli.main(["solve", grid_path, "harmonic:3,0",
+                     "-o", str(tmp_path / "q.csv")]) == 3
+    assert "non-finite result" in capsys.readouterr().err
+
+
 def test_benchmark_small_sizes(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     code = cli.main(["benchmark", "--geometry", "smooth_star",

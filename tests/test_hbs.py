@@ -174,7 +174,22 @@ def test_validate_detects_defects(rng):
 
     C = random_hbs(rng)
     C.V[3] = np.hstack([C.V[3], C.V[3][:, :1]])  # non-leaf V one column wider
-    assert "parent 3: U rank" in " ".join(hb.validate(C))
+    assert f"node 3: V shape {C.V[3].shape}, expected {C.U[3].shape}" in " ".join(hb.validate(C))
+
+
+def test_validate_reports_missing_and_extra_blocks(rng):
+    A = random_hbs(rng)
+    leaf = A.tree.node_count
+    del A.V[leaf]
+    A.U[1] = np.eye(2)  # the root carries no basis
+    A.D[2 * leaf] = np.eye(2)  # nor does a node outside the tree
+    issues = hb.validate(A)
+    for issue in (f"node {leaf}: missing V", "node 1: unexpected U",
+                  f"node {2 * leaf}: unexpected D"):
+        assert issue in issues
+    B = depth_zero_hbs(rng)
+    B.B12[1] = np.eye(1)
+    assert hb.validate(B) == ["node 1: unexpected B12"]
 
 
 def test_validate_checks_interpolatory_identity():

@@ -158,6 +158,30 @@ def test_winding_number_and_probes():
     assert np.allclose(quad.winding_number(grid, z), 1.0, atol=1e-8)
 
 
+def test_probe_points_match_the_unchunked_formula():
+    # at N = 1200 the candidates go 873 rows at a time; count = 300 makes
+    # 1200 seeds, so 7200 candidates against the nodes in several chunks
+    grid = star_grid(120, 10)
+    count = 300
+    pts = grid.points
+    c = pts.mean(axis=0)
+    scale = np.max(np.linalg.norm(pts - c, axis=1))
+    stride = max(1, grid.size // (4 * count))
+    seeds, normals = pts[::stride], grid.normals[::stride]
+    cands = np.concatenate([c + s * (seeds - c) for s in (0.2, 0.4, 0.6)]
+                           + [seeds - d * scale * normals for d in (0.02, 0.05, 0.1)])
+    assert cands.shape[0] > 2 * (2**20 // grid.size)
+    v = pts[None, :, :] - cands[:, None, :]
+    w = np.roll(v, -1, axis=1)
+    winding = np.sum(np.arctan2(v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0],
+                                np.einsum("ijk,ijk->ij", v, w)), axis=1) / (2 * np.pi)
+    assert np.array_equal(quad.winding_number(grid, cands), winding)
+    cands = cands[np.abs(winding - 1.0) < 1e-6]
+    dist = np.min(np.linalg.norm(cands[:, None, :] - pts[None, :, :], axis=2), axis=1)
+    assert np.array_equal(quad.interior_probe_points(grid, count),
+                          cands[np.argsort(-dist)[:count]])
+
+
 def test_grid_csv_roundtrip(tmp_path):
     grid = star_grid(40, 10)
     path = tmp_path / "grid.csv"
@@ -169,16 +193,6 @@ def test_grid_csv_roundtrip(tmp_path):
     assert np.array_equal(back.panel_of, grid.panel_of)
     # curvature is refit from the node coordinates, not stored
     assert np.max(np.abs(back.curvature - grid.curvature)) < 1e-6
-
-
-def test_dense_dump_roundtrip(tmp_path):
-    A = np.random.default_rng(5).standard_normal((7, 13))
-    path = tmp_path / "a.dmat"
-    quad.save_dense(path, A)
-    assert np.array_equal(quad.load_dense(path), A)
-    path.write_bytes(b"XXXX" + bytes(12))
-    with pytest.raises(ValueError, match="magic"):
-        quad.load_dense(path)
 
 
 # -- kernel blocks against the dense-difference formulation ------------------

@@ -4,7 +4,7 @@ import pytest
 import hbsolve as hb
 from hbsolve.inversion import apply_inverse, hbs_invert
 from hbsolve.serialization import HBS_MAGIC, load, save_hbs, save_inverse
-from conftest import circle_grid, random_hbs
+from conftest import circle_grid, depth_zero_hbs, random_hbs
 
 
 def compressed_circle(n_panels=32):
@@ -168,16 +168,44 @@ def test_records_out_of_order_are_rejected(tmp_path, saved_pair):
             load_bytes(tmp_path, swapped)
 
 
-def test_bad_block_shape_is_rejected(tmp_path, saved_pair):
-    for data in saved_pair:
-        # a leaf's first block re-declared as one row of the same entries:
-        # the stream stays aligned, only the shape is wrong
-        start, node, shapes = record_layout(data)[-1]
-        rows, cols = np.frombuffer(data, "<u4", 2, shapes[0])
-        bad = bytearray(data)
-        bad[shapes[0] : shapes[0] + 8] = np.array([1, rows * cols], "<u4").tobytes()
-        with pytest.raises(ValueError, match=f"(node|leaf) {node}: \\w+ shape"):
-            load_bytes(tmp_path, bad)
+def test_bad_block_shape_is_rejected(tmp_path, rng, smooth_star_600):
+    # in the first record of each role, its first block is re-declared as one
+    # row (or one column) of the same entries: the stream stays aligned, only
+    # the shape is wrong
+    _, A, inv = smooth_star_600
+    files = []
+    for save, obj in ((save_hbs, A), (save_inverse, inv), (save_hbs, depth_zero_hbs(rng))):
+        save(tmp_path / "a.hbs", obj)
+        files.append((tmp_path / "a.hbs").read_bytes())
+    roles = {}
+    for data in files:
+        for start, node, shapes in record_layout(data):
+            role = int.from_bytes(data[start + 4 : start + 8], "little")
+            if role in roles:
+                continue
+            roles[role] = node
+            at = shapes[0]
+            rows, cols = np.frombuffer(data, "<u4", 2, at)
+            assert rows * cols > 1
+            bad = bytearray(data)
+            bad[at : at + 8] = np.array([1, rows * cols] if rows > 1 else [rows * cols, 1],
+                                        "<u4").tobytes()
+            with pytest.raises(ValueError, match=f"(node|leaf|parent) {node}: "):
+                load_bytes(tmp_path, bad)
+    assert sorted(roles) == [0, 1, 2, 3, 9, 10]
+
+
+def test_resave_is_byte_identical_at_every_depth(tmp_path, rng):
+    for levels in range(4):
+        A = depth_zero_hbs(rng) if levels == 0 else random_hbs(rng, n=25 << levels)
+        assert A.tree.levels == levels
+        for tau in A.D:
+            A.D[tau] += 10 * np.eye(A.D[tau].shape[0])
+        for save, obj in ((save_hbs, A), (save_inverse, hbs_invert(A))):
+            p1, p2 = tmp_path / "1.hbs", tmp_path / "2.hbs"
+            save(p1, obj)
+            save(p2, load(p1))
+            assert p1.read_bytes() == p2.read_bytes(), (levels, save.__name__)
 
 
 def test_bad_block_count_and_non_finite_matrix(tmp_path, saved_pair):
@@ -192,6 +220,19 @@ def test_bad_block_count_and_non_finite_matrix(tmp_path, saved_pair):
     bad[shapes[0] + 8 : shapes[0] + 16] = np.array([np.nan]).tobytes()
     with pytest.raises(ValueError, match="non-finite"):
         load_bytes(tmp_path, bad)
+
+
+def test_non_finite_inverse_loads_but_does_not_solve(tmp_path, saved_pair):
+    # load scans no inverse entry; apply_inverse rejects what a NaN makes
+    data = saved_pair[1]
+    _, node, shapes = record_layout(data)[0]
+    assert node == 1
+    bad = bytearray(data)
+    bad[shapes[0] + 8 : shapes[0] + 16] = np.array([np.nan]).tobytes()  # root G
+    inv = load_bytes(tmp_path, bad)
+    assert np.isnan(inv.G[1][0, 0])
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        apply_inverse(inv, np.ones(inv.tree.n))
 
 
 def test_header_depth_must_fit_n(tmp_path, saved_pair):
