@@ -26,6 +26,13 @@ def _positive_float(text):
     return x
 
 
+def _positive_int(text):
+    x = int(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return x
+
+
 def _add_solver_flags(p):
     from .config import CompressionConfig
 
@@ -45,9 +52,9 @@ def _add_solver_flags(p):
                    help="target indices per tree leaf (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized pieces (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread count; takes effect only when numpy has not "
-                        "been imported yet in this process")
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="BLAS thread count, a positive integer; takes effect only "
+                        "when numpy has not been imported yet in this process")
 
 
 def build_parser():

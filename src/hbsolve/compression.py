@@ -41,7 +41,8 @@ DENSE_MODE_GUARD = 8000
 
 @dataclass
 class SkeletonSet:
-    """Global row/column skeleton indices per tree node."""
+    """Global row/column skeleton indices per non-root node; the root is
+    never skeletonized, so at depth 0 both dicts are empty."""
 
     row: dict
     col: dict
@@ -86,17 +87,15 @@ def _node_id(R, C, tol, symmetrize):
 
 
 def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
-    """Shared level loop.  `sampler(level, tau, active_r, active_c, ctx)`
-    returns the node's row/column sample blocks (C transposed); `entry`
-    is the exact submatrix oracle."""
-    if tree.levels == 0:
-        idx = tree.indices(1)
-        A = HbsMatrix(tree=tree, D={1: entry(idx, idx)})
-        return A, SkeletonSet(row={1: idx}, col={1: idx})
-
+    """One fine-to-coarse level loop: skeletonize the level's nodes, then
+    give each parent its children's skeletons as active sets and its exact
+    B pair.  `sampler.sample(level, tau, active_r, active_c, ctx)` returns a
+    node's row/column sample blocks (C transposed); `entry` is the exact
+    submatrix oracle.  At depth 0 no level runs and the one leaf keeps D."""
     active_r = {tau: tree.indices(tau) for tau in tree.leaves}
     active_c = {tau: tree.indices(tau) for tau in tree.leaves}
-    U, V, row_skel, col_skel, local_skel = {}, {}, {}, {}, {}
+    D = {tau: entry(active_r[tau], active_c[tau]) for tau in tree.leaves}
+    U, V, B12, B21, row_skel, col_skel, local_skel = {}, {}, {}, {}, {}, {}, {}
 
     for level in range(tree.levels, 0, -1):
         ctx = sampler.level_context(level, active_r, active_c)
@@ -107,19 +106,12 @@ def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
             row_skel[tau] = active_r[tau][idr.skeleton]
             col_skel[tau] = active_c[tau][idc.skeleton]
             local_skel[tau] = (idr.skeleton, idc.skeleton)
-        if level > 1:
-            for parent in tree.nodes_at_level(level - 1):
-                s1, s2 = 2 * parent, 2 * parent + 1
-                active_r[parent] = np.concatenate([row_skel[s1], row_skel[s2]])
-                active_c[parent] = np.concatenate([col_skel[s1], col_skel[s2]])
-
-    B12, B21 = {}, {}
-    for level in range(0, tree.levels):
-        for parent in tree.nodes_at_level(level):
+        for parent in tree.nodes_at_level(level - 1):
             s1, s2 = 2 * parent, 2 * parent + 1
+            active_r[parent] = np.concatenate([row_skel[s1], row_skel[s2]])
+            active_c[parent] = np.concatenate([col_skel[s1], col_skel[s2]])
             B12[parent] = entry(row_skel[s1], col_skel[s2])
             B21[parent] = entry(row_skel[s2], col_skel[s1])
-    D = {tau: entry(tree.indices(tau), tree.indices(tau)) for tau in tree.leaves}
 
     A = HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21,
                   local_skeletons=local_skel)

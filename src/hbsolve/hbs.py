@@ -7,10 +7,10 @@ An HBS matrix over an IndexTree stores, per the telescoping factorization:
   - every parent:    sibling interaction blocks B12[tau], B21[tau]
                      coupling the children's outgoing/incoming spaces
 
-The root holds only its B pair; a depth-0 tree degenerates to a single
-dense D[1].  Per-node ranks may differ, but each node's row and column
-rank agree (U and V have the same column count), which the recursive
-inversion relies on.
+The root holds only its B pair; a depth-0 root is a leaf and holds only
+D[1], the whole matrix.  Per-node ranks may differ, but each node's row
+and column rank agree (U and V have the same column count), which the
+recursive inversion relies on.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ EXPAND_DENSE_GUARD = 5000
 @dataclass
 class HbsMatrix:
     tree: IndexTree
-    D: dict = field(default_factory=dict)    # leaf -> (n, n); all of it at node 1 if levels == 0
-    U: dict = field(default_factory=dict)    # non-root node -> basis (empty if levels == 0)
+    D: dict = field(default_factory=dict)    # leaf -> (n, n)
+    U: dict = field(default_factory=dict)    # non-root node -> basis
     V: dict = field(default_factory=dict)
     B12: dict = field(default_factory=dict)  # parent -> A~(left child, right child)
     B21: dict = field(default_factory=dict)
@@ -133,23 +133,21 @@ def _extended_basis(A: HbsMatrix, node, which):
     return big @ basis[node]
 
 
-def _expand_node(A: HbsMatrix, node):
+def _expand_node(A: HbsMatrix, node, out):
+    """Write node's diagonal block of the dense matrix into out."""
     if A.tree.is_leaf(node):
-        return A.D[node]
+        out[...] = A.D[node]
+        return
     s1, s2 = 2 * node, 2 * node + 1
-    A11 = _expand_node(A, s1)
-    A22 = _expand_node(A, s2)
+    n1 = A.tree.size_of(s1)
+    _expand_node(A, s1, out[:n1, :n1])
+    _expand_node(A, s2, out[n1:, n1:])
     U1 = _extended_basis(A, s1, "U")
     U2 = _extended_basis(A, s2, "U")
     V1 = _extended_basis(A, s1, "V")
     V2 = _extended_basis(A, s2, "V")
-    n1 = A11.shape[0]
-    out = np.empty((n1 + A22.shape[0], n1 + A22.shape[0]))
-    out[:n1, :n1] = A11
-    out[n1:, n1:] = A22
     out[:n1, n1:] = U1 @ A.B12[node] @ V2.T
     out[n1:, :n1] = U2 @ A.B21[node] @ V1.T
-    return out
 
 
 def expand_dense(A: HbsMatrix):
@@ -158,15 +156,18 @@ def expand_dense(A: HbsMatrix):
         raise ValueError(
             f"expand_dense is an oracle for N <= {EXPAND_DENSE_GUARD}, got N = {A.tree.n}"
         )
-    if A.tree.levels == 0:
-        return A.D[1].copy()
-    return _expand_node(A, 1)
+    out = np.empty(A.shape)
+    _expand_node(A, 1, out)
+    return out
 
 
 def block_layout(levels, tau, inverse=False, n=0, k=0, k1=0, k2=0):
     """Node tau's blocks in HBS1 record order, as ((name, (rows, cols)), ...),
     in a depth-`levels` HBS matrix or, if `inverse`, its factored inverse.
 
+    In a matrix a leaf holds D, a non-root node U and V, and a parent B12
+    and B21, in that order; a depth-0 root is a leaf and holds only D.  In
+    an inverse a non-root node holds E, F, G and Dhat, and the root G.
     The shapes hold for n the node's size at a leaf and its children's
     stacked ranks k1 + k2 at a parent, and k its rank.
     """
@@ -174,13 +175,10 @@ def block_layout(levels, tau, inverse=False, n=0, k=0, k1=0, k2=0):
         if tau == 1:
             return (("G", (n, n)),)
         return (("E", (n, k)), ("F", (n, k)), ("G", (n, n)), ("Dhat", (k, k)))
-    if levels == 0:
-        return (("D", (n, n)),)
-    if tau == 1:
-        return (("B12", (k1, k2)), ("B21", (k2, k1)))
-    if tau >> levels:  # a leaf
-        return (("D", (n, n)), ("U", (n, k)), ("V", (n, k)))
-    return (("U", (n, k)), ("V", (n, k)), ("B12", (k1, k2)), ("B21", (k2, k1)))
+    leaf = (("D", (n, n)),) if tau >> levels else ()
+    basis = (("U", (n, k)), ("V", (n, k))) if tau > 1 else ()
+    pair = () if tau >> levels else (("B12", (k1, k2)), ("B21", (k2, k1)))
+    return leaf + basis + pair
 
 
 def block_errors(tree, stores, inverse=False):

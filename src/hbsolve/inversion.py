@@ -140,7 +140,7 @@ def bs_invert(A: BlockSeparableMatrix) -> BlockSeparableInverse:
 @dataclass
 class HbsInverse:
     """Per-node inverse factors; G[1] is the dense inverse of the root's
-    reduced 2x2 block system (or of the whole matrix when levels == 0)."""
+    reduced block: the 2x2 block system, or at depth 0 the whole matrix."""
 
     tree: IndexTree
     E: dict = field(default_factory=dict)
@@ -154,10 +154,6 @@ def hbs_invert(A: HbsMatrix) -> HbsInverse:
     """Recursive inversion, fine to coarse; exact up to rounding."""
     tree = A.tree
     E, F, G, Dhat, telemetry = {}, {}, {}, {}, {}
-    if tree.levels == 0:
-        G[1], cond = _inv(A.D[1], "node 1 (level 0)")
-        telemetry[1] = {"cond_Dtilde": cond}
-        return HbsInverse(tree, E, F, G, Dhat, telemetry)
 
     def reduced_block(tau):
         if tree.is_leaf(tau):
@@ -217,9 +213,6 @@ def inverse_to_hbs(inv: HbsInverse) -> HbsMatrix:
     G become the D blocks; E and F serve as U and V.
     """
     tree = inv.tree
-    if tree.levels == 0:
-        return HbsMatrix(tree=tree, D={1: inv.G[1].copy()})
-
     G = {tau: g.copy() for tau, g in inv.G.items()}
     B12, B21 = {}, {}
     for level in range(0, tree.levels):
@@ -249,9 +242,6 @@ def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
     unchanged.
     """
     tree = A.tree
-    if tree.levels == 0:
-        return HbsMatrix(tree=tree, D={1: A.D[1].copy()})
-
     D = {tau: d.copy() for tau, d in A.D.items()}
     U = {tau: u.copy() for tau, u in A.U.items()}
     V = {tau: v.copy() for tau, v in A.V.items()}

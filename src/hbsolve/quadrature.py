@@ -306,6 +306,11 @@ def load_grid_csv(path) -> QuadratureGrid:
     t = data["t"]
     points = np.stack([data["x"], data["y"]], axis=-1)
     panel_of = data["panel"].astype(int)
+    panels, first, counts = np.unique(panel_of, return_index=True, return_counts=True)
+    if np.any(counts < 2):  # build_grid's rule; the curvature fit needs 2 nodes
+        i = np.argmax(counts < 2)
+        raise ValueError(f"{path}: panel {panels[i]} (data row {first[i] + 1}) has one "
+                         f"node; every panel needs at least 2")
     return QuadratureGrid(
         t=t,
         points=points,

@@ -1,10 +1,10 @@
 """Binary container for HBS matrices and their factored inverses.
 
-Layout: a 16-byte header (magic "HBS1", u32 N, u32 levels, u32
-target_leaf, all little-endian), then one record per tree node in node
-number order.  A record is (u32 node_id, u32 role, u32 block_count)
-followed by the blocks, each as (u32 rows, u32 cols, row-major float64
-data).  The role numbers the node's place; its blocks are hbs.block_layout
+Layout: a 16-byte header (magic "HBS1", u32 N, u32 levels, u32 reserved,
+all little-endian; the reserved field is written as 0 and not read), then
+one record per tree node in node number order.  A record is (u32 node_id,
+u32 role, u32 block_count) followed by the blocks, each as (u32 rows, u32
+cols, row-major float64 data).  The role numbers the node's place; its blocks are hbs.block_layout
 in that order:
 
     0  dense matrix at a depth-0 root         [D]
@@ -42,10 +42,10 @@ def _role(levels, tau, inverse):
     return 3 if tau == 1 else 1 if tau >= 1 << levels else 2
 
 
-def _save(path, obj, inverse, target_leaf):
+def _save(path, obj, inverse):
     tree = obj.tree
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(HBS_MAGIC, tree.n, tree.levels, target_leaf))
+        f.write(_HEADER.pack(HBS_MAGIC, tree.n, tree.levels, 0))
         for tau in range(1, tree.node_count + 1):
             blocks = block_layout(tree.levels, tau, inverse)
             f.write(_RECORD.pack(tau, _role(tree.levels, tau, inverse), len(blocks)))
@@ -55,12 +55,12 @@ def _save(path, obj, inverse, target_leaf):
                 f.write(b.tobytes())
 
 
-def save_hbs(path, A: HbsMatrix, target_leaf=0):
-    _save(path, A, False, target_leaf)
+def save_hbs(path, A: HbsMatrix):
+    _save(path, A, False)
 
 
-def save_inverse(path, inv: HbsInverse, target_leaf=0):
-    _save(path, inv, True, target_leaf)
+def save_inverse(path, inv: HbsInverse):
+    _save(path, inv, True)
 
 
 class _Reader:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -263,3 +264,29 @@ def test_solve_rhs_row_count_mismatch_exits_2(tmp_path, capsys):
     np.savetxt(tmp_path / "rhs.txt", np.ones((7, 3)))
     assert cli.main(["solve", grid_path, str(tmp_path / "rhs.txt")]) == 2
     assert "rhs has 7 rows, grid has 160 nodes" in capsys.readouterr().err
+
+
+def test_solve_grid_with_one_node_panel_exits_2(tmp_path, capsys):
+    # the curvature fit of a one-node panel is NaN; load must refuse the grid
+    grid_path = discretize(tmp_path)
+    lines = open(grid_path).read().splitlines()
+    fields = lines[-1].split(",")
+    fields[-1] = "16"  # panels are 0..15: the last node becomes panel 16
+    lines[-1] = ",".join(fields)
+    open(grid_path, "w").write("\n".join(lines) + "\n")
+    assert cli.main(["solve", grid_path, "harmonic:3,0",
+                     "-o", str(tmp_path / "q.csv")]) == 2
+    assert "panel 16 (data row 160) has one node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+def test_threads_must_be_a_positive_integer(monkeypatch, capsys, threads):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "grid.csv", "harmonic:3,0", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert all(os.environ[var] == "1"
+               for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert cli.build_parser().parse_args(["solve", "g", "r", "--threads", "3"]).threads == 3

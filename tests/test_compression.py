@@ -200,6 +200,21 @@ def test_compress_builds_tree_from_target_leaf():
     assert all(Ah.tree.size_of(t) == 40 for t in Ah.tree.leaves)
 
 
+@pytest.mark.parametrize("mode", ["proxy", "dense"])
+def test_depth_zero_compress_is_the_dense_matrix(mode):
+    grid = star_grid(4, 10)  # N = 40, below the target leaf: one node
+    exact = hb.assemble_dlp(grid)
+    A, skel = compress(grid, CompressionConfig(mode=mode))
+    assert A.tree.levels == 0
+    assert A.D.keys() == {1} and np.array_equal(A.D[1], exact)
+    assert not (A.U or A.V or A.B12 or A.B21 or A.local_skeletons or skel.row or skel.col)
+    rhs = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
+    q, report = solve_workflow(grid, CompressionConfig(mode=mode), rhs, estimate_error=True)
+    ref = np.linalg.solve(exact, rhs)
+    assert np.linalg.norm(q - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert report["levels"] == 0 and report["ranks"] == {}
+
+
 def test_solve_workflow_interior_reproduction():
     grid = star_grid(80, 10)  # N = 800
     src = np.array([3.0, 0.0])

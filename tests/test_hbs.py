@@ -207,6 +207,7 @@ def test_depth_zero_matvec(rng):
     q = rng.standard_normal(5)
     assert np.allclose(hb.hbs_matvec(A, q), D @ q)
     assert np.array_equal(hb.expand_dense(A), D)
+    assert not np.shares_memory(hb.expand_dense(A), D)  # a copy, not a view
     assert hb.validate(A) == []
 
 

@@ -2,23 +2,16 @@ import numpy as np
 import pytest
 
 import hbsolve as hb
+from hbsolve.hbs import block_layout
 from hbsolve.inversion import apply_inverse, hbs_invert
 from hbsolve.serialization import HBS_MAGIC, load, save_hbs, save_inverse
-from conftest import circle_grid, depth_zero_hbs, random_hbs
-
-
-def compressed_circle(n_panels=32):
-    grid = circle_grid(n_panels, 10)
-    A = hb.assemble_dlp(grid)
-    tree = hb.build_tree(grid.size, 64)
-    Ah, _ = hb.compress_dense(A, tree, hb.CompressionConfig())
-    return Ah
+from conftest import depth_zero_hbs, random_hbs
 
 
 def test_matrix_roundtrip_is_bit_exact(tmp_path, rng):
     A = random_hbs(rng)
     p1, p2 = tmp_path / "a.hbs", tmp_path / "b.hbs"
-    save_hbs(p1, A, target_leaf=32)
+    save_hbs(p1, A)
     back = load(p1)
     assert back.tree.ranges == A.tree.ranges
     for store, bstore in ((A.D, back.D), (A.U, back.U), (A.V, back.V),
@@ -26,12 +19,12 @@ def test_matrix_roundtrip_is_bit_exact(tmp_path, rng):
         assert store.keys() == bstore.keys()
         for tau in store:
             assert np.array_equal(store[tau], bstore[tau])
-    save_hbs(p2, back, target_leaf=32)
+    save_hbs(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_loaded_matrix_acts_identically(tmp_path, rng):
-    A = compressed_circle()
+def test_loaded_matrix_acts_identically(tmp_path, rng, smooth_star_600):
+    _, A, _ = smooth_star_600  # ranks 23-64, siblings of unequal rank
     path = tmp_path / "a.hbs"
     save_hbs(path, A)
     back = load(path)
@@ -42,9 +35,8 @@ def test_loaded_matrix_acts_identically(tmp_path, rng):
     assert np.linalg.norm(hb.hbs_matvec(back, q) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_inverse_roundtrip(tmp_path, rng):
-    A = compressed_circle()
-    inv = hbs_invert(A)
+def test_inverse_roundtrip(tmp_path, rng, smooth_star_600):
+    _, A, inv = smooth_star_600
     p1, p2 = tmp_path / "i1.hbs", tmp_path / "i2.hbs"
     save_inverse(p1, inv)
     back = load(p1)
@@ -94,12 +86,25 @@ def test_corrupt_role(tmp_path, rng):
 def test_header_records_shape(tmp_path, rng):
     A = random_hbs(rng, n=100, target_leaf=30)
     path = tmp_path / "a.hbs"
-    save_hbs(path, A, target_leaf=30)
+    save_hbs(path, A)
     import struct
 
-    magic, n, levels, target = struct.unpack("<4sIII", path.read_bytes()[:16])
+    magic, n, levels, reserved = struct.unpack("<4sIII", path.read_bytes()[:16])
     assert magic == HBS_MAGIC
-    assert (n, levels, target) == (100, A.tree.levels, 30)
+    assert (n, levels, reserved) == (100, A.tree.levels, 0)
+
+
+def test_record_blocks_keep_their_order():
+    # each role's blocks in the order HBS1 files store them (module docstring)
+    def names(levels, tau, inverse=False):
+        return [name for name, _ in block_layout(levels, tau, inverse)]
+
+    assert names(0, 1) == ["D"]
+    assert names(2, 4) == names(2, 7) == ["D", "U", "V"]
+    assert names(2, 2) == ["U", "V", "B12", "B21"]
+    assert names(2, 1) == ["B12", "B21"]
+    assert names(2, 2, True) == names(0, 2, True) == ["E", "F", "G", "Dhat"]
+    assert names(2, 1, True) == names(0, 1, True) == ["G"]
 
 
 # -- malformed files ----------------------------------------------------------
