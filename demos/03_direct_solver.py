@@ -9,7 +9,7 @@ The solver represents u as a double-layer potential, discretizes the
 second-kind integral equation with Nystrom quadrature, compresses the
 system matrix in proxy mode, inverts the compressed matrix exactly with
 the recursive block-separable identity, and applies the inverse.  A
-power-iteration error bound comes along for free.
+block-iteration error bound comes along for free.
 """
 
 import json

@@ -264,10 +264,14 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     the report carries per-step timings, per-level rank statistics,
     conditioning telemetry and the residual of A_approx, all JSON-safe.
 
-    With estimate_error, err_A comes from power iteration against the exact
-    operator up to N = DENSE_MODE_GUARD and from SAMPLED_ROWS exact rows
-    above it (a random Frobenius-norm estimate, not a bound); norm_inv
-    always comes from power iteration on the inverse.
+    With estimate_error, err_A comes from a block subspace iteration
+    against the exact operator up to N = DENSE_MODE_GUARD and from
+    SAMPLED_ROWS exact rows above it (a random Frobenius-norm estimate, not
+    a bound); norm_inv always comes from the block iteration on the
+    inverse.  The block iteration (diagnostics.power_norm) runs
+    BLOCK_COLUMNS columns until a step raises its estimate by less than
+    BLOCK_RTOL relatively, at most 50 steps; each estimate is a lower bound
+    on its norm.
     """
     rhs = np.asarray(rhs, float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:

@@ -16,6 +16,21 @@ def star_grid(n_panels=80, nodes=10):
     return hb.build_grid(c, hb.decompose(c, n_panels, 0), nodes)
 
 
+# contours for dense_compression: every rank of the circle is 1 (its
+# double-layer kernel is constant), the star's ranks are > 1 and differ
+# between siblings
+COMPRESSED_CONTOURS = ("circle", "smooth_star")
+
+
+def dense_compression(contour, n_panels, target_leaf=64):
+    """(grid, A, A_hbs): a dense-mode compression at N = 10 n_panels."""
+    grid = {"circle": circle_grid, "smooth_star": star_grid}[contour](n_panels, 10)
+    A = hb.assemble_dlp(grid)
+    tree = hb.build_tree(grid.size, target_leaf)
+    Ah, _ = hb.compress_dense(A, tree, hb.CompressionConfig(mode="dense"))
+    return grid, A, Ah
+
+
 def random_hbs(rng, n=256, target_leaf=32, max_rank=6):
     """Random well-formed HBS matrix with heterogeneous ranks."""
     tree = hb.build_tree(n, target_leaf)

@@ -41,6 +41,37 @@ def test_power_norm_random_matrix(rng):
     assert sigma > 0.99 * exact
 
 
+BREAKDOWNS = {
+    "zero": (np.zeros((8, 8)), 0.0),
+    "identity": (np.eye(8), 1.0),
+    "rank_one": (np.outer(np.arange(1.0, 21.0), np.ones(20)), np.sqrt(20 * 2870)),
+    "n_below_m": (np.diag([2.0, -5.0, 1.0, 0.5, 3.0, 1.0]), 5.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+def test_block_norm_breakdowns(case):
+    A, norm = BREAKDOWNS[case]
+    mv, mvT, n = dense_ops(A)
+    sigma = power_norm(mv, mvT, (n, diagnostics.BLOCK_COLUMNS))
+    assert isinstance(sigma, float)
+    assert abs(sigma - norm) <= 1e-12 * max(norm, 1.0)
+
+
+def test_certified_solve_on_fewer_nodes_than_block_columns():
+    c = hb.SmoothStar()
+    grid = hb.build_grid(c, hb.decompose(c, 2, 0), 3)  # N = 6, a depth-0 tree
+    assert grid.size < diagnostics.BLOCK_COLUMNS
+    rhs = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
+    _, report = hb.solve_workflow(grid, hb.CompressionConfig(mode="proxy"), rhs,
+                                  estimate_error=True)
+    assert report["levels"] == 0
+    est = report["error_estimate"]
+    assert np.isfinite(est["bound_factor"])
+    inv_norm = np.linalg.norm(np.linalg.inv(hb.assemble_dlp(grid)), 2)
+    assert np.isclose(est["norm_inv"], inv_norm, rtol=1e-2)
+
+
 def test_estimate_on_near_exact_compression():
     grid = star_grid(64, 10)  # N = 640
     A = hb.assemble_dlp(grid)
@@ -124,16 +155,42 @@ def test_grid_estimate_assembles_the_exact_operator_once(monkeypatch):
     assert from_grid == estimate_solver_error(grid, Ah, inv)
 
 
+def counting_steps(monkeypatch):
+    """Wrap diagnostics.power_norm; returns the list of forward applies each
+    of its calls made, one entry per call."""
+    steps, orig = [], diagnostics.power_norm
+
+    def wrapper(apply, apply_adjoint, dim, **kwargs):
+        steps.append(0)
+
+        def counted(v):
+            steps[-1] += 1
+            return apply(v)
+
+        return orig(counted, apply_adjoint, dim, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "power_norm", wrapper)
+    return steps
+
+
 def test_grid_estimate_streams_above_the_assembly_budget(monkeypatch):
     grid = star_grid(150, 10)  # N = 1500: two row panels per streamed pass
     Ah, inv = proxy_factorization(grid)
     assembled = estimate_solver_error(grid, Ah, inv, iters=10)
     monkeypatch.setattr(diagnostics, "EXACT_ASSEMBLY_BYTES", 0)
+    steps = counting_steps(monkeypatch)
     streamed = counting(monkeypatch, quadrature, "dense_matvec")
+    streamed_T = counting(monkeypatch, quadrature, "dense_matvec_transpose")
     panels = counting(monkeypatch, quadrature, "nystrom_block")
     from_stream = estimate_solver_error(grid, Ah, inv, iters=10)
-    assert len(streamed) == 10
-    assert len(panels) == 2 * 2 * 10
+    err_steps = steps[0]  # err_A runs first, then norm_inv
+    assert len(steps) == 2 and 2 <= err_steps <= 10
+    # one forward and one adjoint streamed pass per block step, each of two
+    # panels, each pass carrying the whole block
+    assert len(streamed) == len(streamed_T) == err_steps
+    assert len(panels) == 2 * 2 * err_steps
+    block = (grid.size, diagnostics.BLOCK_COLUMNS)
+    assert all(q.shape == block for _, q in streamed + streamed_T)
     (err_s, inv_s, _), (err_a, inv_a, _) = from_stream, assembled
     assert inv_s == inv_a
     # err_A is a difference of O(1) products (||A|| ~ 1), so the panels'
@@ -173,6 +230,38 @@ def test_sampled_error_agrees_with_power(contour, tol):
     power, _, _ = estimate_solver_error(grid, Ah, inv)
     sampled = sampled_error(grid, Ah, seed=0)
     assert power / 10 <= sampled <= 10 * power
+
+
+# soundness of the default block estimates, fixed before the first run:
+# never above the dense 2-norm, nor more than this far below the 50-step
+# scalar power estimate
+ABOVE_DENSE = 1e-12
+BELOW_POWER = 0.005
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("contour", sorted(CONTOURS))
+def test_block_estimates_are_sound(contour, tol):
+    grid = CONTOURS[contour]()
+    Ah, inv = proxy_factorization(grid, tol)
+    A = hb.assemble_dlp(grid)
+    err_A, norm_inv, _ = estimate_solver_error(A, Ah, inv)
+
+    At, invT = hb.hbs_transpose(Ah), hb.inverse_transpose(inv)
+    power_err = power_norm(lambda v: A @ v - hb.hbs_matvec(Ah, v),
+                           lambda v: A.T @ v - hb.hbs_matvec(At, v), grid.size, seed=0)
+    power_inv = power_norm(lambda v: hb.apply_inverse(inv, v),
+                           lambda v: hb.apply_inverse(invT, v), grid.size, seed=1)
+    dense_err = np.linalg.norm(A - hb.expand_dense(Ah), 2)
+    dense_inv = np.linalg.norm(hb.apply_inverse(inv, np.eye(grid.size)), 2)
+    # A - A_approx is formed from O(||A||) products, so neither it nor any
+    # estimate of it resolves less than round-off of ||A||
+    roundoff = np.finfo(float).eps * np.sqrt(np.linalg.norm(A, 1) * np.linalg.norm(A, np.inf))
+
+    assert err_A <= dense_err * (1 + ABOVE_DENSE) + roundoff
+    assert err_A >= power_err * (1 - BELOW_POWER)
+    assert norm_inv <= dense_inv * (1 + ABOVE_DENSE)
+    assert norm_inv >= power_inv * (1 - BELOW_POWER)
 
 
 def test_solve_workflow_samples_err_A_above_the_power_cap():

@@ -5,19 +5,12 @@ import hbsolve as hb
 from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis
 from conftest import (
     BLOCK_WIDTHS,
+    COMPRESSED_CONTOURS,
     assert_block_matches_columns,
-    circle_grid,
+    dense_compression,
     depth_zero_hbs,
     random_hbs,
 )
-
-
-def compressed_circle(n_panels=64, target_leaf=64):
-    grid = circle_grid(n_panels, 10)
-    A = hb.assemble_dlp(grid)
-    tree = hb.build_tree(grid.size, target_leaf)
-    Ah, _ = hb.compress_dense(A, tree, hb.CompressionConfig(mode="dense"))
-    return A, Ah
 
 
 def block_diagonal_hbs(rng, n=64, target_leaf=16):
@@ -49,16 +42,17 @@ def test_block_diagonal_matvec(rng):
 
 
 def test_matvec_matches_dense_oracle(rng):
-    A_dense, Ah = compressed_circle()  # N = 640
-    for _ in range(20):
-        q = rng.standard_normal(640)
-        u = hb.hbs_matvec(Ah, q)
-        ref = A_dense @ q
-        assert np.linalg.norm(u - ref) <= 10 * 1e-10 * np.linalg.norm(ref)
+    for contour in COMPRESSED_CONTOURS:
+        _, A_dense, Ah = dense_compression(contour, 64)  # N = 640
+        for _ in range(20):
+            q = rng.standard_normal(640)
+            u = hb.hbs_matvec(Ah, q)
+            ref = A_dense @ q
+            assert np.linalg.norm(u - ref) <= 10 * 1e-10 * np.linalg.norm(ref)
 
 
 def test_matvec_dimension_check():
-    _, Ah = compressed_circle(32)
+    Ah = dense_compression("circle", 32)[2]
     with pytest.raises(ValueError):
         hb.hbs_matvec(Ah, np.zeros(10))
 
@@ -91,10 +85,11 @@ def test_expand_block_diagonal(rng):
     assert np.array_equal(E, scipy.linalg.block_diag(*[A.D[t] for t in A.tree.leaves]))
 
 
-def test_expand_matches_dense(rng):
-    A_dense, Ah = compressed_circle(32)  # N = 320
-    err = np.linalg.norm(hb.expand_dense(Ah) - A_dense)
-    assert err <= 10 * 1e-10 * np.linalg.norm(A_dense)
+def test_expand_matches_dense():
+    for contour in COMPRESSED_CONTOURS:
+        _, A_dense, Ah = dense_compression(contour, 32)  # N = 320
+        err = np.linalg.norm(hb.expand_dense(Ah) - A_dense)
+        assert err <= 10 * 1e-10 * np.linalg.norm(A_dense)
 
 
 def test_expand_guard():
@@ -133,18 +128,19 @@ def test_transpose(rng):
 
 
 def test_extended_basis_factorizes_offdiagonal(rng):
-    A = random_hbs(rng, n=128, target_leaf=16)
-    E = hb.expand_dense(A)
-    tree = A.tree
-    s1, s2 = 2, 3
-    U1 = _extended_basis(A, s1, "U")
-    V2 = _extended_basis(A, s2, "V")
-    i1, i2 = tree.indices(s1), tree.indices(s2)
-    assert np.allclose(E[np.ix_(i1, i2)], U1 @ A.B12[1] @ V2.T, atol=1e-12)
+    # a random matrix, and a smooth star's (N = 320, three levels)
+    for A in (random_hbs(rng, n=128, target_leaf=16), dense_compression("smooth_star", 32)[2]):
+        E = hb.expand_dense(A)
+        tree = A.tree
+        s1, s2 = 2, 3
+        U1 = _extended_basis(A, s1, "U")
+        V2 = _extended_basis(A, s2, "V")
+        i1, i2 = tree.indices(s1), tree.indices(s2)
+        assert np.allclose(E[np.ix_(i1, i2)], U1 @ A.B12[1] @ V2.T, atol=1e-12)
 
 
 def test_storage_is_data_sparse():
-    _, Ah = compressed_circle(64)
+    Ah = dense_compression("circle", 64)[2]
     kmax = max(Ah.rank_of(t) for t in Ah.U)
     n = Ah.tree.n
     leaf_max = max(Ah.tree.size_of(t) for t in Ah.tree.leaves)
@@ -157,7 +153,7 @@ def test_storage_is_data_sparse():
 def test_validate_well_formed(rng):
     A = random_hbs(rng)
     assert hb.validate(A) == []
-    _, Ah = compressed_circle(32)
+    Ah = dense_compression("circle", 32)[2]
     assert hb.validate(Ah) == []
 
 
@@ -193,11 +189,12 @@ def test_validate_reports_missing_and_extra_blocks(rng):
 
 
 def test_validate_checks_interpolatory_identity():
-    _, Ah = compressed_circle(32)
-    assert Ah.local_skeletons
-    leaf = next(iter(Ah.tree.leaves))
-    Ah.U[leaf] = Ah.U[leaf] + 1e-3  # break U[skeleton] = I
-    assert any("skeleton" in s for s in hb.validate(Ah))
+    for contour in COMPRESSED_CONTOURS:
+        Ah = dense_compression(contour, 32)[2]
+        assert Ah.local_skeletons
+        leaf = next(iter(Ah.tree.leaves))
+        Ah.U[leaf] = Ah.U[leaf] + 1e-3  # break U[skeleton] = I
+        assert any("skeleton" in s for s in hb.validate(Ah))
 
 
 def test_depth_zero_matvec(rng):

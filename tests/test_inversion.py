@@ -15,21 +15,14 @@ from hbsolve.inversion import (
 )
 from conftest import (
     BLOCK_WIDTHS,
+    COMPRESSED_CONTOURS,
     assert_block_matches_columns,
-    circle_grid,
+    dense_compression,
     depth_zero_hbs,
     random_block_separable,
     random_hbs,
     star_grid,
 )
-
-
-def compressed_circle(n_panels, target_leaf=64):
-    grid = circle_grid(n_panels, 10)
-    A = hb.assemble_dlp(grid)
-    tree = hb.build_tree(grid.size, target_leaf)
-    Ah, _ = hb.compress_dense(A, tree, hb.CompressionConfig(mode="dense"))
-    return grid, A, Ah
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +113,23 @@ def test_hbs_invert_depth_zero(rng):
 
 
 def test_inverse_residual(rng):
-    grid, A_dense, Ah = compressed_circle(32)  # N = 320
-    inv = hbs_invert(Ah)
-    for _ in range(5):
-        b = rng.standard_normal(320)
-        q = apply_inverse(inv, b)
-        assert np.linalg.norm(A_dense @ q - b) <= 1e-8 * np.linalg.norm(b)
+    for contour in COMPRESSED_CONTOURS:
+        grid, A_dense, Ah = dense_compression(contour, 32)  # N = 320
+        inv = hbs_invert(Ah)
+        for _ in range(5):
+            b = rng.standard_normal(320)
+            q = apply_inverse(inv, b)
+            assert np.linalg.norm(A_dense @ q - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_inverse_composes_to_identity(rng):
-    _, _, Ah = compressed_circle(128)  # N = 1280
-    inv = hbs_invert(Ah)
-    for _ in range(3):
-        q = rng.standard_normal(1280)
-        back = apply_inverse(inv, hb.hbs_matvec(Ah, q))
-        assert np.linalg.norm(back - q) <= 1e-8 * np.linalg.norm(q)
+    for contour in COMPRESSED_CONTOURS:
+        _, _, Ah = dense_compression(contour, 128)  # N = 1280
+        inv = hbs_invert(Ah)
+        for _ in range(3):
+            q = rng.standard_normal(1280)
+            back = apply_inverse(inv, hb.hbs_matvec(Ah, q))
+            assert np.linalg.norm(back - q) <= 1e-8 * np.linalg.norm(q)
 
 
 def test_apply_inverse_dimension_check(rng):
@@ -239,21 +234,22 @@ def test_condition_estimates_track_two_norm_condition():
 
 
 def test_inverse_transpose(rng):
-    _, A_dense, Ah = compressed_circle(32)
-    inv = hbs_invert(Ah)
-    B = rng.standard_normal((320, max(BLOCK_WIDTHS)))
-    before = apply_inverse(inv, B)
-    invT = inverse_transpose(inv)
-    # views over inv's own factors, E and F swapped
-    for store, t_store in ((inv.E, invT.F), (inv.F, invT.E), (inv.G, invT.G),
-                           (inv.Dhat, invT.Dhat)):
-        assert store.keys() == t_store.keys()
-        assert all(np.shares_memory(store[tau], t_store[tau]) for tau in store)
-    for m in BLOCK_WIDTHS:
-        Q = assert_block_matches_columns(lambda x: apply_inverse(invT, x), B[:, :m])
-        ref = np.linalg.solve(A_dense.T, B[:, :m])
-        assert np.linalg.norm(Q - ref) <= 1e-8 * np.linalg.norm(B[:, :m])
-    assert np.array_equal(apply_inverse(inv, B), before)
+    for contour in COMPRESSED_CONTOURS:
+        _, A_dense, Ah = dense_compression(contour, 32)
+        inv = hbs_invert(Ah)
+        B = rng.standard_normal((320, max(BLOCK_WIDTHS)))
+        before = apply_inverse(inv, B)
+        invT = inverse_transpose(inv)
+        # views over inv's own factors, E and F swapped
+        for store, t_store in ((inv.E, invT.F), (inv.F, invT.E), (inv.G, invT.G),
+                               (inv.Dhat, invT.Dhat)):
+            assert store.keys() == t_store.keys()
+            assert all(np.shares_memory(store[tau], t_store[tau]) for tau in store)
+        for m in BLOCK_WIDTHS:
+            Q = assert_block_matches_columns(lambda x: apply_inverse(invT, x), B[:, :m])
+            ref = np.linalg.solve(A_dense.T, B[:, :m])
+            assert np.linalg.norm(Q - ref) <= 1e-8 * np.linalg.norm(B[:, :m])
+        assert np.array_equal(apply_inverse(inv, B), before)
 
 
 # ---------------------------------------------------------------------------
@@ -262,45 +258,51 @@ def test_inverse_transpose(rng):
 
 
 def test_inverse_to_hbs_matches_apply(rng):
-    _, _, Ah = compressed_circle(64)  # N = 640
-    inv = hbs_invert(Ah)
-    Binv = inverse_to_hbs(inv)
-    assert hb.validate(Binv) == []
-    for _ in range(5):
-        u = rng.standard_normal(640)
-        direct = apply_inverse(inv, u)
-        via_hbs = hb.hbs_matvec(Binv, u)
-        assert np.linalg.norm(via_hbs - direct) <= 1e-12 * np.linalg.norm(direct)
+    for contour in COMPRESSED_CONTOURS:
+        _, _, Ah = dense_compression(contour, 64)  # N = 640
+        inv = hbs_invert(Ah)
+        Binv = inverse_to_hbs(inv)
+        assert hb.validate(Binv) == []
+        for _ in range(5):
+            u = rng.standard_normal(640)
+            direct = apply_inverse(inv, u)
+            via_hbs = hb.hbs_matvec(Binv, u)
+            assert np.linalg.norm(via_hbs - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_inverse_to_hbs_one_level_by_hand(rng):
     # two leaves: the reformatted inverse must expand to
     # [[G1 + E1 H11 F1*, E1 H12 F2*], [E2 H21 F1*, G2 + E2 H22 F2*]]
     # where H = G[1] is the dense inverse of the reduced system
-    _, _, Ah = compressed_circle(16, target_leaf=128)  # N = 160, one level
-    assert Ah.tree.levels == 1
-    inv = hbs_invert(Ah)
-    B = inverse_to_hbs(inv)
-    k1 = inv.Dhat[2].shape[0]
-    H = inv.G[1]
-    top = np.hstack(
-        [inv.G[2] + inv.E[2] @ H[:k1, :k1] @ inv.F[2].T,
-         inv.E[2] @ H[:k1, k1:] @ inv.F[3].T]
-    )
-    bot = np.hstack(
-        [inv.E[3] @ H[k1:, :k1] @ inv.F[2].T,
-         inv.G[3] + inv.E[3] @ H[k1:, k1:] @ inv.F[3].T]
-    )
-    assert np.allclose(hb.expand_dense(B), np.vstack([top, bot]), atol=1e-13)
+    for contour in COMPRESSED_CONTOURS:
+        _, _, Ah = dense_compression(contour, 16, target_leaf=128)  # N = 160, one level
+        assert Ah.tree.levels == 1
+        inv = hbs_invert(Ah)
+        B = inverse_to_hbs(inv)
+        k1 = inv.Dhat[2].shape[0]
+        H = inv.G[1]
+        top = np.hstack(
+            [inv.G[2] + inv.E[2] @ H[:k1, :k1] @ inv.F[2].T,
+             inv.E[2] @ H[:k1, k1:] @ inv.F[3].T]
+        )
+        bot = np.hstack(
+            [inv.E[3] @ H[k1:, :k1] @ inv.F[2].T,
+             inv.G[3] + inv.E[3] @ H[k1:, k1:] @ inv.F[3].T]
+        )
+        assert np.allclose(hb.expand_dense(B), np.vstack([top, bot]), atol=1e-13)
 
 
 def test_inverse_to_hbs_residual(rng):
-    _, A_dense, Ah = compressed_circle(32)
-    inv = hbs_invert(Ah)
-    Binv = inverse_to_hbs(inv)
-    R = hb.expand_dense(Binv) @ A_dense - np.eye(320)
-    cond = np.linalg.cond(A_dense)
-    assert np.linalg.norm(R) <= 100 * np.finfo(float).eps * cond * 320
+    for contour in COMPRESSED_CONTOURS:
+        Ah = dense_compression(contour, 32)[2]
+        inv = hbs_invert(Ah)
+        Binv = inverse_to_hbs(inv)
+        # against the matrix it inverts: the star's A_dense differs from it by
+        # the compression tolerance, far above this round-off bound
+        E = hb.expand_dense(Ah)
+        R = hb.expand_dense(Binv) @ E - np.eye(320)
+        cond = np.linalg.cond(E)
+        assert np.linalg.norm(R) <= 100 * np.finfo(float).eps * cond * 320
 
 
 def test_reformat_orthonormal_postconditions(rng):
@@ -336,9 +338,10 @@ def test_reformat_orthonormal_depth_zero(rng):
 
 def test_reformat_of_reformatted_inverse(rng):
     # the full pipeline shape: invert, reformat to HBS, orthonormalize
-    _, A_dense, Ah = compressed_circle(32)
-    Binv = reformat_orthonormal(inverse_to_hbs(hbs_invert(Ah)))
-    assert hb.validate(Binv) == []
-    b = rng.standard_normal(320)
-    q = hb.hbs_matvec(Binv, b)
-    assert np.linalg.norm(A_dense @ q - b) <= 1e-8 * np.linalg.norm(b)
+    for contour in COMPRESSED_CONTOURS:
+        _, A_dense, Ah = dense_compression(contour, 32)
+        Binv = reformat_orthonormal(inverse_to_hbs(hbs_invert(Ah)))
+        assert hb.validate(Binv) == []
+        b = rng.standard_normal(320)
+        q = hb.hbs_matvec(Binv, b)
+        assert np.linalg.norm(A_dense @ q - b) <= 1e-8 * np.linalg.norm(b)
