@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from . import quadrature as quad
 from .config import CompressionConfig
-from .hbs import HbsMatrix, hbs_matvec
+from .hbs import HbsMatrix, allocate_stacks, as_real, block_views, hbs_matvec
 # inverse_to_hbs stays importable here: perfbench's tracer wraps compression.inverse_to_hbs
 from .inversion import apply_inverse, hbs_invert, inverse_to_hbs  # noqa: F401
 from .lowrank import id_row
@@ -87,34 +87,61 @@ def _node_id(R, C, tol, symmetrize):
 
 
 def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
-    """One fine-to-coarse level loop: skeletonize the level's nodes, then
-    give each parent its children's skeletons as active sets and its exact
-    B pair.  `sampler.sample(level, tau, active_r, active_c, ctx)` returns a
-    node's row/column sample blocks (C transposed); `entry` is the exact
-    submatrix oracle.  At depth 0 no level runs and the one leaf keeps D."""
+    """One fine-to-coarse level loop that skeletonizes a level's nodes, puts
+    their blocks into the level's stacks, then gives each parent its
+    children's skeletons as active sets.  `sampler.sample(level, tau,
+    active_r, active_c, ctx)` returns a node's row/column sample blocks (C
+    transposed); `entry` is the exact submatrix oracle.  At depth 0 no level
+    runs and the one leaf holds D."""
     active_r = {tau: tree.indices(tau) for tau in tree.leaves}
-    active_c = {tau: tree.indices(tau) for tau in tree.leaves}
-    D = {tau: entry(active_r[tau], active_c[tau]) for tau in tree.leaves}
-    U, V, B12, B21, row_skel, col_skel, local_skel = {}, {}, {}, {}, {}, {}, {}
+    active_c = dict(active_r)
+    stacks = {name: {} for name in HbsMatrix.NAMES}
+    row_skel, col_skel, local_skel = {}, {}, {}
+
+    def store(nodes, coeffs):
+        """Put one level's blocks into new stacks: the IDs' coefficients
+        `coeffs` ({name: {node: U or V}}), and, each evaluated by `entry`
+        straight into its slot, a leaf's D or a parent's B pair between its
+        children's skeletons."""
+        if tree.is_leaf(nodes[0]):
+            exact = {"D": {tau: (active_r[tau], active_c[tau]) for tau in nodes}}
+        else:
+            exact = {"B12": {tau: (row_skel[2 * tau], col_skel[2 * tau + 1]) for tau in nodes},
+                     "B21": {tau: (row_skel[2 * tau + 1], col_skel[2 * tau]) for tau in nodes}}
+        shapes = {name: {} for name in HbsMatrix.NAMES}  # in NAMES order: the stacks' sort key
+        for name, of in coeffs.items():
+            shapes[name] = {tau: b.shape for tau, b in of.items()}
+        for name, of in exact.items():
+            shapes[name] = {tau: (len(r), len(c)) for tau, (r, c) in of.items()}
+        level_stacks = allocate_stacks(shapes)
+        slots = block_views(level_stacks)
+        for name, of in coeffs.items():
+            for tau, b in of.items():
+                slots[name][tau][...] = b
+        for name, of in exact.items():
+            for tau, (r, c) in of.items():
+                slots[name][tau][...] = entry(r, c)
+        for name, levels in level_stacks.items():
+            stacks[name].update(levels)
 
     for level in range(tree.levels, 0, -1):
         ctx = sampler.level_context(level, active_r, active_c)
+        coeffs = {"U": {}, "V": {}}
         for tau in tree.nodes_at_level(level):
             R, C = sampler.sample(level, tau, active_r[tau], active_c[tau], ctx)
             idr, idc = _node_id(R, C, cfg.tol, cfg.symmetrize)
-            U[tau], V[tau] = idr.coeffs, idc.coeffs
+            coeffs["U"][tau], coeffs["V"][tau] = idr.coeffs, idc.coeffs
             row_skel[tau] = active_r[tau][idr.skeleton]
             col_skel[tau] = active_c[tau][idc.skeleton]
             local_skel[tau] = (idr.skeleton, idc.skeleton)
+        store(tree.nodes_at_level(level), coeffs)
         for parent in tree.nodes_at_level(level - 1):
             s1, s2 = 2 * parent, 2 * parent + 1
             active_r[parent] = np.concatenate([row_skel[s1], row_skel[s2]])
             active_c[parent] = np.concatenate([col_skel[s1], col_skel[s2]])
-            B12[parent] = entry(row_skel[s1], col_skel[s2])
-            B21[parent] = entry(row_skel[s2], col_skel[s1])
+    store(tree.nodes_at_level(0), {})
 
-    A = HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21,
-                  local_skeletons=local_skel)
+    A = HbsMatrix(tree, local_skeletons=local_skel, stacks=stacks)
     return A, SkeletonSet(row=row_skel, col=col_skel)
 
 
@@ -212,7 +239,7 @@ def compress_dense(A_dense, tree: IndexTree, cfg: CompressionConfig):
     A_dense = np.asarray(A_dense, float)
     if A_dense.shape != (tree.n, tree.n):
         raise ValueError("matrix shape does not match the tree")
-    entry = lambda rows, cols: A_dense[np.ix_(rows, cols)].copy()
+    entry = lambda rows, cols: A_dense[np.ix_(rows, cols)]
     return _compress(tree, cfg, _DenseSampler(A_dense, tree), entry)
 
 
@@ -273,7 +300,7 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     BLOCK_RTOL relatively, at most 50 steps; each estimate is a lower bound
     on its norm.
     """
-    rhs = np.asarray(rhs, float)
+    rhs = as_real(rhs, "rhs")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:
         raise ValueError(f"rhs of shape {rhs.shape} does not match grid size {grid.size}: "
                          f"expected ({grid.size},) or ({grid.size}, m)")

@@ -14,7 +14,9 @@ class CompressionConfig:
     symmetrize: bool = False
     # 96..128 (78-point leaves from N = 10k to 80k) compress and apply
     # faster, but then the inverse apply outgrows the last-level cache
-    # between N = 10k and 20k and stops scaling linearly there
+    # between N = 20k and 40k: there criterion 8's apply ratio read
+    # x2.23-x2.65 over 10 runs at 128 (2 above its bound of 2.6), and
+    # x1.83-x2.57 over 20 runs at 64
     target_leaf: int = 64
     # dense mode needs the N x N matrix (N <= DENSE_MODE_GUARD); it stays the
     # oracle that proxy mode is checked against

@@ -11,12 +11,19 @@ The root holds only its B pair; a depth-0 root is a leaf and holds only
 D[1], the whole matrix.  Per-node ranks may differ, but each node's row
 and column rank agree (U and V have the same column count), which the
 recursive inversion relies on.
+
+Blocks live in stacks: all of a level's blocks of one name and shape are
+one (count, rows, cols) array, and `A.U[tau]` and the like are read-only
+mappings from a node to a view of its slot (allocate_stacks, Blocks).  One
+traversal of the stacks, level by level, serves the matvec and the
+factored inverse's apply (_telescope).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+import math
+from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +32,169 @@ from .tree import IndexTree
 EXPAND_DENSE_GUARD = 5000
 
 
-@dataclass
-class HbsMatrix:
-    tree: IndexTree
-    D: dict = field(default_factory=dict)    # leaf -> (n, n)
-    U: dict = field(default_factory=dict)    # non-root node -> basis
-    V: dict = field(default_factory=dict)
-    B12: dict = field(default_factory=dict)  # parent -> A~(left child, right child)
-    B21: dict = field(default_factory=dict)
-    # node -> (local row skeleton, local col skeleton) of an interpolatory
-    # factorization: U[tau][row skeleton] = I and V[tau][col skeleton] = I
-    local_skeletons: dict = field(default_factory=dict, repr=False)
+def as_real(x, what):
+    """x as a float64 array.  A complex x raises ValueError naming its dtype,
+    where a float conversion would keep only the real part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} has complex dtype {x.dtype}; only real input is supported")
+    return x.astype(float, copy=False)
+
+
+class Blocks(Mapping):
+    """Read-only node -> block mapping over views of stack slots.
+
+    A block edited in place (`blocks[tau] += x`, `blocks[tau][i, j] = v`)
+    writes through to its stack.  Rebinding or deleting an entry raises
+    TypeError: build a new object from dicts instead."""
+
+    def __init__(self, views):
+        self._views = views
+
+    def __getitem__(self, tau):
+        return self._views[tau]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+    def __setitem__(self, tau, block):
+        # `blocks[tau] += x` edits the view, then stores that same view back
+        if block is not self._views.get(tau):
+            raise TypeError(f"cannot rebind the block of node {tau}: blocks are views "
+                            "of their stacks; build a new object from dicts instead")
+
+    def __delitem__(self, tau):
+        raise TypeError(f"cannot delete the block of node {tau}: blocks are views of their stacks")
+
+    def __repr__(self):
+        return f"Blocks(nodes={sorted(self._views)})"
+
+
+def allocate_stacks(shapes):
+    """Empty stacks for blocks of the given shapes, {name: {node: (rows, cols)}}.
+
+    Returns {name: {level: [(nodes, stack), ...]}}, each stack one
+    (len(nodes), rows, cols) array, all of them views of one buffer (which
+    numpy backs with huge pages when it is large, so filling it faults
+    few pages).  A level's nodes are sorted by their blocks' shapes, taken
+    in the order of the names, then by number; every stack lists its nodes
+    in that order, and a name's stacks follow the order of their first
+    nodes.  So the stacks of a name whose shape is fixed by a prefix of that
+    key (a leaf's D, by its size) each cover a run of consecutive stacks of
+    the finer names (its U and V, by size and rank).
+    """
+    absent = (-1,)  # sorts before every shape
+    ofs = list(shapes.values())
+    groups = {}  # (level + 1, the shapes) -> nodes
+    for tau in sorted(set().union(*ofs)):
+        key = (int(tau).bit_length(), tuple([of.get(tau, absent) for of in ofs]))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [tau]
+        else:
+            group.append(tau)
+    keys = sorted(groups)
+    buckets = {}  # (name, level + 1, shape) -> nodes, in the order of the first ones
+    for i, name in enumerate(shapes):
+        for depth, key in keys:
+            if key[i] is not absent:
+                nodes = buckets.get((name, depth, key[i]))
+                if nodes is None:
+                    buckets[name, depth, key[i]] = groups[depth, key][:]
+                else:
+                    nodes += groups[depth, key]
+    stacks = {name: {} for name in shapes}
+    sizes = [len(nodes) * math.prod(shape) for (*_, shape), nodes in buckets.items()]
+    pool, at = np.empty(sum(sizes)), 0
+    for ((name, depth, shape), nodes), size in zip(buckets.items(), sizes):
+        levels = stacks[name]
+        if depth - 1 not in levels:
+            levels[depth - 1] = []
+        levels[depth - 1].append((nodes, pool[at:at + size].reshape(len(nodes), *shape)))
+        at += size
+    return stacks
+
+
+def block_views(stacks):
+    """{name: {node: view of its slot}} over stacks from allocate_stacks."""
+    return {name: {tau: block for buckets in levels.values() for nodes, S in buckets
+                   for tau, block in zip(nodes, S)}
+            for name, levels in stacks.items()}
+
+
+def stack_blocks(blocks):
+    """Stacks holding a copy of each block of {name: {node: block}}; missing,
+    extra and misshapen blocks are stored as given, for validate to name."""
+    stacks = allocate_stacks({name: {tau: np.shape(b) for tau, b in of.items()}
+                              for name, of in blocks.items()})
+    for name, views in block_views(stacks).items():
+        for tau, slot in views.items():
+            slot[...] = blocks[name][tau]
+    return stacks
+
+
+def transposed(levels):
+    """One name's stacks with every block transposed, as views."""
+    return {level: [(nodes, S.transpose(0, 2, 1)) for nodes, S in buckets]
+            for level, buckets in levels.items()}
+
+
+class StackedBlocks:
+    """Blocks named NAMES, stored in stacks (allocate_stacks) and read
+    through one Blocks mapping per name.  UP, DOWN and DIAG name the blocks
+    that _telescope applies upward (transposed), downward and at the leaves."""
+
+    NAMES = ()
+
+    def __init__(self, tree: IndexTree, stacks):
+        self.tree, self.stacks = tree, {name: stacks.get(name, {}) for name in self.NAMES}
+        for name, views in block_views(self.stacks).items():
+            setattr(self, name, Blocks(views))
+
+    def storage_count(self):
+        """Total number of stored matrix entries."""
+        return sum(S.size for levels in self.stacks.values()
+                   for buckets in levels.values() for _, S in buckets)
+
+    def block_shapes(self):
+        """{name: {node: (rows, cols)}} of every stored block."""
+        return {name: {tau: S.shape[1:] for buckets in levels.values()
+                       for nodes, S in buckets for tau in nodes}
+                for name, levels in self.stacks.items()}
+
+    def coupling(self, level, start, k1, k2):
+        """The products that map the outgoing values of level + 1, in parent
+        order (see _Route), to its incoming ones, as (ops for _products, a
+        gather of their result into parent order or None).  start, k1 and
+        k2 run over level's nodes by number: where a node's children's values
+        start in parent order, and the children's ranks."""
+        raise NotImplementedError
+
+    @cached_property
+    def _route(self):
+        return _Route(self)
+
+
+class HbsMatrix(StackedBlocks):
+    """An HBS matrix; D, U, V, B12 and B21 are Blocks mappings.  Built from
+    dicts {node: block}, each block is copied into its stack; `stacks`, from
+    allocate_stacks, is used as it is instead."""
+
+    NAMES = ("D", "U", "V", "B12", "B21")
+    UP, DOWN, DIAG = "V", "U", "D"
+
+    def __init__(self, tree, D=None, U=None, V=None, B12=None, B21=None,
+                 local_skeletons=None, *, stacks=None):
+        if stacks is None:
+            stacks = stack_blocks(dict(zip(self.NAMES, (D or {}, U or {}, V or {},
+                                                        B12 or {}, B21 or {}))))
+        super().__init__(tree, stacks)
+        # node -> (local row skeleton, local col skeleton) of an interpolatory
+        # factorization: U[tau][row skeleton] = I and V[tau][col skeleton] = I
+        self.local_skeletons = {} if local_skeletons is None else local_skeletons
 
     @property
     def shape(self):
@@ -44,78 +203,172 @@ class HbsMatrix:
     def rank_of(self, node):
         return self.U[node].shape[1]
 
-    def storage_count(self):
-        """Total number of stored matrix entries."""
-        blocks = [*self.D.values(), *self.U.values(), *self.V.values(),
-                  *self.B12.values(), *self.B21.values()]
-        return sum(b.size for b in blocks)
+    def coupling(self, level, start, k1, k2):
+        """B12 maps a parent's right child's values into its left child's,
+        B21 the reverse: each stack gathers its rows, and one more gather
+        puts the results, B12's then B21's, into parent order."""
+        ops, targets = [], []
+        for name in ("B12", "B21"):
+            buckets = self.stacks[name].get(level, [])
+            if not buckets:
+                continue
+            i = np.concatenate([nodes for nodes, _ in buckets]) - (1 << level)
+            left, right = (start[i], k1[i]), (start[i] + k1[i], k2[i])  # first row, count
+            into, source = (left, right) if name == "B12" else (right, left)
+            targets.append(_ranges(*into))
+            ops += _gathering([S for _, S in buckets], _ranges(*source))
+        return ops, _inverse_permutation(np.concatenate(targets)) if targets else None
 
 
-def _telescope(tree, x, up, couple, down, diag):
-    """y = diag x + down (couple (up* x)) in one traversal of the tree, for x
-    of shape (N,) or (N, m); y has x's shape and each node costs one product.
+def _ranges(starts, lengths):
+    """The ranges [start, start + length), concatenated, in one pass."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
-    Upward, a node maps its rows of x (leaf) or its children's stacked values
-    through up[tau].T.  couple(tau, z, k1, out) writes the children's incoming
-    values from their stacked outgoing values z (the first k1 rows are the
-    left child's); at the root it acts on level 1.  Downward, each node adds
-    down[tau] @ (its incoming values), and leaves add diag[tau] @ x[rows].
-    One contiguous array holds each level's values, children in adjacent rows.
+
+def _gathering(stacks, rows):
+    """Ops for _products that take each stack's c blocks of s rows of v from
+    the next c s entries of `rows`."""
+    ops, at = [], 0
+    for S in stacks:
+        c, _, s = S.shape
+        ops.append((S, rows[at:at + c * s].reshape(c, s)))
+        at += c * s
+    return ops
+
+
+def _inverse_permutation(p):
+    inv = np.empty_like(p)
+    inv[p] = np.arange(p.size)
+    return inv
+
+
+class _Route:
+    """Gather indices and stacks of one traversal of an object's blocks.
+
+    Level l's values, outgoing and incoming, hold each node's rows in the
+    order of the DOWN stacks at level l (bucket order).  `children[l]`
+    gathers, for level l's nodes in bucket order, each one's children's
+    values at level l + 1, left then right (parent order); `parents[l]`
+    takes parent order back to bucket order.  `leaf_rows` lists the leaves'
+    indices in bucket order.  Every index is built with a few vectorized
+    calls per level.
     """
-    x = np.asarray(x, float)
-    if x.ndim not in (1, 2) or x.shape[0] != tree.n:
-        raise ValueError(f"expected shape ({tree.n},) or ({tree.n}, m), got {x.shape}")
-    if tree.levels == 0:
-        return diag[1] @ x
 
-    offsets, outgoing = {}, {}
-    for level in range(tree.levels, 0, -1):
-        nodes = tree.nodes_at_level(level)
-        off, below = [0, *accumulate(up[t].shape[1] for t in nodes)], offsets.get(level + 1)
-        offsets[level], outgoing[level] = off, np.empty((off[-1], *x.shape[1:]))
-        for i, tau in enumerate(nodes):
-            src = (x[slice(*tree.ranges[tau])] if level == tree.levels
-                   else outgoing[level + 1][below[2 * i] : below[2 * i + 2]])
-            np.matmul(up[tau].T, src, out=outgoing[level][off[i] : off[i + 1]])
+    def __init__(self, obj: StackedBlocks):
+        tree, levels = obj.tree, obj.tree.levels
+        order, rank = [np.ones(1, np.intp)], [None]
+        for level in range(1, levels + 1):
+            buckets = obj.stacks[obj.DOWN].get(level, [])
+            order.append(np.array([tau for nodes, _ in buckets for tau in nodes], np.intp))
+            rank.append(np.repeat(np.array([S.shape[2] for _, S in buckets], np.intp),
+                                  [len(nodes) for nodes, _ in buckets]))
+        bounds = np.array([tree.ranges[tau] for tau in order[levels].tolist()]).reshape(-1, 2)
+        self.leaf_rows = _ranges(bounds[:, 0], bounds[:, 1] - bounds[:, 0])
 
-    incoming = np.empty_like(outgoing[1])
-    couple(1, outgoing[1], offsets[1][1], incoming)
-    for level in range(1, tree.levels):
-        off, below = offsets[level], offsets[level + 1]
-        z, out = outgoing[level + 1], np.empty_like(outgoing[level + 1])
-        for i, tau in enumerate(tree.nodes_at_level(level)):
-            a, mid, b = below[2 * i : 2 * i + 3]
-            couple(tau, z[a:b], mid - a, out[a:b])
-            out[a:b] += down[tau] @ incoming[off[i] : off[i + 1]]
-        incoming = out
+        def stacks(name, level):
+            return [S for _, S in obj.stacks[name].get(level, [])]
 
-    y = np.empty(x.shape)
-    off = offsets[tree.levels]
-    for i, tau in enumerate(tree.leaves):
-        rows = slice(*tree.ranges[tau])
-        np.matmul(down[tau], incoming[off[i] : off[i + 1]], out=y[rows])
-        y[rows] += diag[tau] @ x[rows]
-    return y
+        # the leaves' UP and DIAG stacks gather their rows of x themselves
+        self.up = [[(S.transpose(0, 2, 1), None) for S in stacks(obj.UP, level)]
+                   for level in range(levels)]
+        self.up.append(_gathering([S.transpose(0, 2, 1) for S in stacks(obj.UP, levels)],
+                                  self.leaf_rows))
+        self.down = [[(S, None) for S in stacks(obj.DOWN, level)] for level in range(levels + 1)]
+        self.diag = _gathering(stacks(obj.DIAG, levels), self.leaf_rows)
+        self.children, self.parents, self.coupling = [], [], []
+        for level in range(levels):
+            first = 1 << level  # level's first node
+            at = np.empty(2 * first, np.intp)  # a child's place in bucket order
+            at[order[level + 1] - 2 * first] = np.arange(2 * first)
+            kids = at[2 * order[level][:, None] + (0, 1) - 2 * first]  # (nodes, 2)
+            k = rank[level + 1][kids]
+            rows = _ranges((np.cumsum(rank[level + 1]) - rank[level + 1])[kids].ravel(), k.ravel())
+            self.children.append(rows)
+            self.parents.append(_inverse_permutation(rows))
+            # by node number: where its children's values start in parent order, their ranks
+            by_node = np.empty(first, np.intp)
+            by_node[order[level] - first] = np.arange(first)
+            starts, k = (np.cumsum(k.sum(1)) - k.sum(1))[by_node], k[by_node]
+            self.coupling.append(obj.coupling(level, starts, k[:, 0], k[:, 1]))
+
+
+def _products(ops, v, into=None):
+    """Products of each op's stack (c, r, s) with c blocks of s rows of v, an
+    (rows, m) array: the op's gathered rows (c, s), or else the next c s rows
+    of v.  Returns the c r rows of every op's result, stacked in op order;
+    given `into`, adds them to it instead, one stack's result at a time."""
+    m = v.shape[1]
+    out = np.empty((sum(S.shape[0] * S.shape[1] for S, _ in ops), m)) if into is None else into
+    i = o = 0
+    for S, rows in ops:
+        c, r, s = S.shape
+        src = v[i:i + c * s].reshape(c, s, m) if rows is None else v[rows]
+        dst = out[o:o + c * r].reshape(c, r, m)
+        if into is None:
+            np.matmul(S, src, out=dst)
+        else:
+            dst += S @ src
+        i, o = i + c * s, o + c * r
+    return out
+
+
+def _telescope(obj: StackedBlocks, x):
+    """y = diag x + down (coupling (up* x)) in one traversal of obj's stacks,
+    for x of shape (N,) or (N, m); y has x's shape.
+
+    Upward, the leaves' UP stacks each gather their rows of x, and each
+    level above maps its children's values, gathered into parent order (see
+    _Route), through its UP stacks.  Downward, each level's coupling and its
+    DOWN stacks map into its children's incoming values in parent order, one
+    gather puts them into the children's bucket order, and at the leaves the
+    DOWN and DIAG products (the DIAG stacks gather their rows of x again)
+    are summed and scattered back to index order.  Each stack costs one
+    gather at most and one np.matmul, whatever the number of its nodes.
+    """
+    n, levels = obj.tree.n, obj.tree.levels
+    x = as_real(x, "the input")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"expected shape ({n},) or ({n}, m), got {x.shape}")
+    route = obj._route
+    columns = x if x.ndim == 2 else x[:, None]
+    z = _products(route.up[levels], columns)
+    below = [None] * levels  # each level's children's values, in parent order
+    for level in range(levels - 1, -1, -1):
+        below[level] = z[route.children[level]]
+        if level:
+            z = _products(route.up[level], below[level])
+    incoming = None
+    for level in range(levels):
+        ops, to_parent_order = route.coupling[level]
+        t = _products(ops, below[level])
+        below[level] = None
+        if to_parent_order is not None:
+            t = t[to_parent_order]
+        if level:
+            _products(route.down[level], incoming, into=t)
+        incoming = t[route.parents[level]]
+    y = _products(route.diag, columns)
+    if levels:
+        _products(route.down[levels], incoming, into=y)
+    incoming = None  # let it go before the result is allocated
+    out = np.empty_like(y)
+    out[route.leaf_rows] = y
+    return out.reshape(x.shape)
 
 
 def hbs_matvec(A: HbsMatrix, q):
     """u = A @ q for q of shape (N,) or (N, m), O(sum n_tau k_tau) per column."""
-
-    def couple(tau, z, k1, out):
-        np.matmul(A.B12[tau], z[k1:], out=out[:k1])
-        np.matmul(A.B21[tau], z[:k1], out=out[k1:])
-
-    return _telescope(A.tree, q, A.V, couple, A.U, A.D)
+    return _telescope(A, q)
 
 
 def hbs_transpose(A: HbsMatrix) -> HbsMatrix:
-    """A.T in HBS form: new dicts over A's own arrays.  U and V swap roles,
-    D and the swapped B blocks become transposed views; no block is copied."""
+    """A.T in HBS form over A's own stacks: U and V swap roles, D and the
+    swapped B blocks become transposed views; no block is copied."""
+    s = A.stacks
     return HbsMatrix(
-        tree=A.tree, U=dict(A.V), V=dict(A.U),
-        D={tau: D.T for tau, D in A.D.items()},
-        B12={tau: B.T for tau, B in A.B21.items()},
-        B21={tau: B.T for tau, B in A.B12.items()},
+        A.tree, stacks={"D": transposed(s["D"]), "U": s["V"], "V": s["U"],
+                        "B12": transposed(s["B21"]), "B21": transposed(s["B12"])},
         local_skeletons={tau: (c, r) for tau, (r, c) in A.local_skeletons.items()},
     )
 
@@ -181,15 +434,15 @@ def block_layout(levels, tau, inverse=False, n=0, k=0, k1=0, k2=0):
     return leaf + basis + pair
 
 
-def block_errors(tree, stores, inverse=False):
-    """Missing, extra and misshapen blocks in `stores` ({name: {node:
-    block}}) of an HBS matrix or, if `inverse`, its factored inverse, against
-    block_layout.  A node's rank is its U's column count (matrix) or its
-    Dhat's order (inverse).  Nodes are checked fine to coarse, so a block
-    that misstates its node's rank is reported before the parent's blocks
-    that the wrong rank then misfits."""
+def block_errors(tree, shapes, inverse=False):
+    """Missing, extra and misshapen blocks in `shapes` ({name: {node: (rows,
+    cols)}}) of an HBS matrix or, if `inverse`, its factored inverse,
+    against block_layout.  A node's rank is its U's column count (matrix)
+    or its Dhat's order (inverse).  Nodes are checked fine to coarse, so a
+    block that misstates its node's rank is reported before the parent's
+    blocks that the wrong rank then misfits."""
     axis = 0 if inverse else 1
-    rank = {tau: b.shape[axis] for tau, b in stores.get("Dhat" if inverse else "U", {}).items()}
+    rank = {tau: s[axis] for tau, s in shapes.get("Dhat" if inverse else "U", {}).items()}
     levels, errors, found = tree.levels, [], 0
     for tau in range(tree.node_count, 0, -1):
         if tau >> levels:  # a leaf
@@ -199,31 +452,34 @@ def block_errors(tree, stores, inverse=False):
             k1, k2 = rank.get(2 * tau, 0), rank.get(2 * tau + 1, 0)
             n = k1 + k2
         for name, shape in block_layout(levels, tau, inverse, n, rank.get(tau, 0), k1, k2):
-            block = stores[name].get(tau)
-            if block is None:
+            got = shapes[name].get(tau)
+            if got is None:
                 errors.append(f"node {tau}: missing {name}")
                 continue
             found += 1
-            if block.shape != shape:
-                errors.append(f"node {tau}: {name} shape {block.shape}, expected {shape}")
-    if sum(map(len, stores.values())) > found:  # a block that no node's layout names
-        errors += [f"node {tau}: unexpected {name}" for name, store in stores.items()
-                   for tau in store if tau not in range(1, tree.node_count + 1)
+            if tuple(got) != shape:
+                errors.append(f"node {tau}: {name} shape {tuple(got)}, expected {shape}")
+    if sum(map(len, shapes.values())) > found:  # a block that no node's layout names
+        errors += [f"node {tau}: unexpected {name}" for name, of in shapes.items()
+                   for tau in of if tau not in range(1, tree.node_count + 1)
                    or name not in dict(block_layout(levels, tau, inverse))]
     return errors
+
+
+def nonfinite_blocks(obj: StackedBlocks):
+    """One "node: non-finite entries in name" line per block holding a NaN
+    or Inf, found with one scan per stack."""
+    return [f"node {tau}: non-finite entries in {name}"
+            for name, levels in obj.stacks.items() for buckets in levels.values()
+            for nodes, S in buckets
+            for tau, ok in zip(nodes, np.isfinite(S).all(axis=(1, 2))) if not ok]
 
 
 def validate(A: HbsMatrix):
     """Dimensional and structural audit; returns a list of violation strings:
     block_errors, non-finite entries, and skeleton rows of U or V that are
     not the identity."""
-    stores = {"D": A.D, "U": A.U, "V": A.V, "B12": A.B12, "B21": A.B21}
-    issues = block_errors(A.tree, stores)
-    for name, store in stores.items():
-        for tau, block in store.items():
-            if not np.all(np.isfinite(block)):
-                issues.append(f"node {tau}: non-finite entries in {name}")
-
+    issues = block_errors(A.tree, A.block_shapes()) + nonfinite_blocks(A)
     for tau, (rloc, cloc) in A.local_skeletons.items():
         if tau in A.U and len(rloc) == A.U[tau].shape[1]:
             if not np.array_equal(A.U[tau][rloc], np.eye(len(rloc))):

@@ -21,13 +21,13 @@ the top-level (Atilde + Dhat) is a small dense matrix inverted directly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .hbs import HbsMatrix, _telescope
-from .tree import IndexTree
+from .hbs import (HbsMatrix, StackedBlocks, _telescope, allocate_stacks, block_views,
+                  stack_blocks, transposed)
 
 COND_WARN_THRESHOLD = 1e13
 
@@ -54,15 +54,21 @@ def _inv(M, what):
     return out, float(cond)
 
 
-def _node_factors(Dt, U, V, what):
-    """E, F, G, Dhat of one block from its (reduced) diagonal block Dt."""
+def _node_factors(Dt, U, V, what, out=None):
+    """E, F, G, Dhat of one block from its (reduced) diagonal block Dt, and
+    its condition estimates.  Given `out`, four arrays of the factors'
+    shapes, the factors are written there instead of into new arrays."""
+    E, F, G, Dhat = (None,) * 4 if out is None else out
     Dtinv, cond_Dt = _inv(Dt, what)
     DiU = Dtinv @ U
     ViDi = V.T @ Dtinv
-    Dhat, cond_M = _inv(V.T @ DiU, f"V* D~^-1 U of {what}")
-    E = DiU @ Dhat
-    F = (Dhat @ ViDi).T
-    G = Dtinv - E @ ViDi
+    Dh, cond_M = _inv(V.T @ DiU, f"V* D~^-1 U of {what}")
+    E = np.matmul(DiU, Dh, out=E)
+    G = np.subtract(Dtinv, np.matmul(E, ViDi, out=G), out=G)
+    if out is None:
+        F, Dhat = (Dh @ ViDi).T, Dh
+    else:
+        F[...], Dhat[...] = (Dh @ ViDi).T, Dh
     return E, F, G, Dhat, {"cond_Dtilde": cond_Dt, "cond_core": cond_M}
 
 
@@ -137,23 +143,33 @@ def bs_invert(A: BlockSeparableMatrix) -> BlockSeparableInverse:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HbsInverse:
-    """Per-node inverse factors; G[1] is the dense inverse of the root's
-    reduced block: the 2x2 block system, or at depth 0 the whole matrix."""
+class HbsInverse(StackedBlocks):
+    """Per-node inverse factors, E, F, G and Dhat as Blocks mappings; G[1]
+    is the dense inverse of the root's reduced block: the 2x2 block system,
+    or at depth 0 the whole matrix.  Built from dicts {node: block}, each
+    block is copied into its stack; `stacks` is used as it is instead."""
 
-    tree: IndexTree
-    E: dict = field(default_factory=dict)
-    F: dict = field(default_factory=dict)
-    G: dict = field(default_factory=dict)
-    Dhat: dict = field(default_factory=dict)
-    telemetry: dict = field(default_factory=dict, repr=False)
+    NAMES = ("E", "F", "G", "Dhat")
+    UP, DOWN, DIAG = "F", "E", "G"
+
+    def __init__(self, tree, E=None, F=None, G=None, Dhat=None, telemetry=None, *,
+                 stacks=None):
+        if stacks is None:
+            stacks = stack_blocks(dict(zip(self.NAMES, (E or {}, F or {}, G or {}, Dhat or {}))))
+        super().__init__(tree, stacks)
+        self.telemetry = {} if telemetry is None else telemetry
+
+    def coupling(self, level, start, k1, k2):
+        """A parent's G maps its children's stacked values, in parent order."""
+        return [(S, None) for _, S in self.stacks["G"].get(level, [])], None
 
 
 def hbs_invert(A: HbsMatrix) -> HbsInverse:
-    """Recursive inversion, fine to coarse; exact up to rounding."""
+    """Recursive inversion, fine to coarse; exact up to rounding.  Each
+    level's stacks are allocated once its shapes are known (they follow
+    A's), and each node's factors are written into their slots."""
     tree = A.tree
-    E, F, G, Dhat, telemetry = {}, {}, {}, {}, {}
+    stacks, telemetry, Dhat = {name: {} for name in HbsInverse.NAMES}, {}, {}
 
     def reduced_block(tau):
         if tree.is_leaf(tau):
@@ -168,25 +184,32 @@ def hbs_invert(A: HbsMatrix) -> HbsInverse:
         return Dt
 
     for level in range(tree.levels, 0, -1):
-        for tau in tree.nodes_at_level(level):
-            Dt = reduced_block(tau)
-            what = f"node {tau} (level {level})"
-            E[tau], F[tau], G[tau], Dhat[tau], telemetry[tau] = _node_factors(
-                Dt, A.U[tau], A.V[tau], what
-            )
-    G[1], cond = _inv(reduced_block(1), "node 1 (level 0)")
+        nodes = tree.nodes_at_level(level)
+        shape = {tau: A.U[tau].shape for tau in nodes}
+        level_stacks = allocate_stacks({"E": shape, "F": shape,
+                                        "G": {tau: (n, n) for tau, (n, _) in shape.items()},
+                                        "Dhat": {tau: (k, k) for tau, (_, k) in shape.items()}})
+        slots = block_views(level_stacks)
+        for tau in nodes:
+            *_, telemetry[tau] = _node_factors(
+                reduced_block(tau), A.U[tau], A.V[tau], f"node {tau} (level {level})",
+                out=[slots[name][tau] for name in HbsInverse.NAMES])
+        Dhat.update(slots["Dhat"])
+        for name, levels in level_stacks.items():
+            stacks[name].update(levels)
+    G, cond = _inv(reduced_block(1), "node 1 (level 0)")
     telemetry[1] = {"cond_Dtilde": cond}
-    return HbsInverse(tree, E, F, G, Dhat, telemetry)
+    stacks["G"][0] = [([1], G[None])]
+    return HbsInverse(tree, telemetry=telemetry, stacks=stacks)
 
 
 def apply_inverse(inv: HbsInverse, u):
     """q = A^-1 u for u of shape (N,) or (N, m): upward pass through F, dense
     root solve, downward pass through E and G.  Cost O(N k) per column.
-    Raises LinAlgError if q has a NaN or Inf entry (a non-finite u, or a
-    factor corrupted on disk: `load` does not scan an inverse's entries)."""
-    q = _telescope(inv.tree, u, inv.F,
-                   lambda tau, z, k1, out: np.matmul(inv.G[tau], z, out=out),
-                   inv.E, inv.G)
+    Raises ValueError on a complex u, and LinAlgError if q has a NaN or Inf
+    entry (a non-finite u, or a factor corrupted on disk: `load` does not
+    scan an inverse's entries)."""
+    q = _telescope(inv, u)
     if not np.isfinite(q).all():
         raise np.linalg.LinAlgError("non-finite result of apply_inverse: the right-hand "
                                     "side or the inverse's factors hold NaN or Inf")
@@ -194,14 +217,12 @@ def apply_inverse(inv: HbsInverse, u):
 
 
 def inverse_transpose(inv: HbsInverse) -> HbsInverse:
-    """Factored form of (A^-1)^T: new dicts over inv's own arrays.  E and F
-    swap roles, G and Dhat become transposed views; no block is copied."""
-    return HbsInverse(
-        tree=inv.tree, E=dict(inv.F), F=dict(inv.E),
-        G={tau: G.T for tau, G in inv.G.items()},
-        Dhat={tau: D.T for tau, D in inv.Dhat.items()},
-        telemetry=inv.telemetry,
-    )
+    """Factored form of (A^-1)^T over inv's own stacks: E and F swap roles,
+    G and Dhat become transposed views; no block is copied."""
+    s = inv.stacks
+    return HbsInverse(inv.tree, telemetry=inv.telemetry,
+                      stacks={"E": s["F"], "F": s["E"], "G": transposed(s["G"]),
+                              "Dhat": transposed(s["Dhat"])})
 
 
 def inverse_to_hbs(inv: HbsInverse) -> HbsMatrix:
@@ -213,24 +234,17 @@ def inverse_to_hbs(inv: HbsInverse) -> HbsMatrix:
     G become the D blocks; E and F serve as U and V.
     """
     tree = inv.tree
-    G = {tau: g.copy() for tau, g in inv.G.items()}
-    B12, B21 = {}, {}
+    G, B12, B21 = dict(inv.G), {}, {}  # entries are rebound, never edited in place
     for level in range(0, tree.levels):
         for tau in tree.nodes_at_level(level):
             s1, s2 = 2 * tau, 2 * tau + 1
             k1 = inv.Dhat[s1].shape[0]
-            B12[tau] = G[tau][:k1, k1:].copy()
-            B21[tau] = G[tau][k1:, :k1].copy()
+            B12[tau] = G[tau][:k1, k1:]
+            B21[tau] = G[tau][k1:, :k1]
             G[s1] = G[s1] + inv.E[s1] @ G[tau][:k1, :k1] @ inv.F[s1].T
             G[s2] = G[s2] + inv.E[s2] @ G[tau][k1:, k1:] @ inv.F[s2].T
-    return HbsMatrix(
-        tree=tree,
-        D={tau: G[tau] for tau in tree.leaves},
-        U={tau: inv.E[tau].copy() for tau in inv.E},
-        V={tau: inv.F[tau].copy() for tau in inv.F},
-        B12=B12,
-        B21=B21,
-    )
+    return HbsMatrix(tree, D={tau: G[tau] for tau in tree.leaves}, U=inv.E, V=inv.F,
+                     B12=B12, B21=B21)
 
 
 def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
@@ -242,11 +256,9 @@ def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
     unchanged.
     """
     tree = A.tree
-    D = {tau: d.copy() for tau, d in A.D.items()}
-    U = {tau: u.copy() for tau, u in A.U.items()}
-    V = {tau: v.copy() for tau, v in A.V.items()}
-    B12 = {tau: b.copy() for tau, b in A.B12.items()}
-    B21 = {tau: b.copy() for tau, b in A.B21.items()}
+    # new dicts over A's blocks: the loop rebinds entries, and the result
+    # copies every block into its own stacks
+    U, V, B12, B21 = dict(A.U), dict(A.V), dict(A.B12), dict(A.B21)
 
     R, S = {}, {}
     for level in range(tree.levels, 0, -1):
@@ -277,4 +289,4 @@ def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
                 TV[r1:, S[s1].shape[1] :] = Y2t @ S[s2]
                 U[parent] = TU @ U[parent]
                 V[parent] = TV @ V[parent]
-    return HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21)
+    return HbsMatrix(tree, D=A.D, U=U, V=V, B12=B12, B21=B21)

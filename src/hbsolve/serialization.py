@@ -25,12 +25,13 @@ from collections import defaultdict
 
 import numpy as np
 
-from .hbs import HbsMatrix, block_errors, block_layout, validate
+from .hbs import HbsMatrix, allocate_stacks, block_errors, block_layout, nonfinite_blocks
 from .inversion import HbsInverse
 from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
 _HEADER, _RECORD, _SHAPE = struct.Struct("<4sIII"), struct.Struct("<III"), struct.Struct("<II")
+_IOV_MAX = 1024  # buffers per preadv: Linux's IOV_MAX
 
 
 def _role(levels, tau, inverse):
@@ -63,18 +64,15 @@ def save_inverse(path, inv: HbsInverse):
     _save(path, inv, True)
 
 
-class _Reader:
-    """HBS1 reader over the whole file, read at once into one float64
-    buffer whose views are the blocks (numpy gives so large a buffer huge
-    pages, so few page faults); a read past the end of the file raises,
-    naming what was being read and its byte offset."""
+class _Scan:
+    """Pass over the record and block headers of an open HBS1 file of
+    `size` bytes, one pread per header (a record's header and its first
+    block's shape share one); block data is skipped, not read.  A header or
+    block that runs past the end of the file raises, naming what was being
+    read and its byte offset."""
 
-    def __init__(self, f):
-        size = os.fstat(f.fileno()).st_size
-        self.pool = np.empty(-(-size // 8))
-        self.raw = self.pool.view(np.uint8)
-        self.size = f.readinto(self.raw[:size])
-        self.at, self.role_names = 0, {}
+    def __init__(self, fd, size):
+        self.fd, self.size, self.at, self.role_names = fd, size, 0, {}
 
     def skip(self, nbytes, what, tau=0):
         """Claim the next nbytes, raising if the file ends first."""
@@ -89,13 +87,17 @@ class _Reader:
         """Unpack the struct `fields` from the next fields.size bytes."""
         at = self.at
         self.skip(fields.size, what, tau)
-        return fields.unpack_from(self.raw, at)
+        return fields.unpack(os.pread(self.fd, fields.size, at))
 
-    def record(self, tau, levels, kinds):
-        """Kind (True for an inverse) and named blocks of node tau's record
-        in a depth-`levels` file; its role must be that of one of `kinds`."""
+    def record(self, tau, levels, kinds, shapes):
+        """Kind (True for an inverse) of node tau's record in a depth-`levels`
+        file, and its blocks' names, in file order; their shapes go into
+        `shapes`, {name: {node: (rows, cols)}}.  The role must be that of one
+        of `kinds`."""
         at = self.at
-        node, role, count = self.take(_RECORD, "record", tau)
+        head = os.pread(self.fd, _RECORD.size + _SHAPE.size, at)
+        self.skip(_RECORD.size, "record", tau)
+        node, role, count = _RECORD.unpack_from(head)
         if node != tau:
             raise ValueError(f"record at byte {at} is for node {node}, expected "
                              f"node {tau}: records must follow node order")
@@ -112,16 +114,21 @@ class _Reader:
         if count != len(names):
             raise ValueError(f"node {tau} (byte {at}): role {role} has "
                              f"{len(names)} blocks, the record says {count}")
-        blocks = {}
-        for name in names:
-            rows, cols = self.take(_SHAPE, name, tau)
-            at = self.at
-            self.skip(8 * rows * cols, name, tau)
-            if at % 8:  # every other record is off the 8-byte grid: move over `cols`
-                self.raw[at - 4:self.at - 4] = self.raw[at:self.at]
-                at -= 4
-            blocks[name] = self.pool[at // 8:at // 8 + rows * cols].reshape(rows, cols)
-        return inverse, blocks
+        fd, size, at, shape = self.fd, self.size, self.at, head[_RECORD.size:]
+        for name in names:  # a load's hottest loop: one pass per block, inlined
+            if size - at < _SHAPE.size:
+                self.at = at
+                self.skip(_SHAPE.size, name, tau)  # raises
+            rows, cols = _SHAPE.unpack(shape or os.pread(fd, _SHAPE.size, at))
+            shape = b""
+            at += _SHAPE.size
+            if size - at < 8 * rows * cols:
+                self.at = at
+                self.skip(8 * rows * cols, name, tau)  # raises
+            at += 8 * rows * cols
+            shapes[name][tau] = (rows, cols)
+        self.at = at
+        return inverse, names
 
     def end(self):
         if self.at != self.size:
@@ -129,36 +136,77 @@ class _Reader:
                              f"last record, at byte {self.at}")
 
 
+def _read_into(fd, buffers, at, end):
+    """Fill the arrays `buffers` in turn from the file's bytes at offset
+    `at` on, which end at byte `end`: one preadv per IOV_MAX buffers,
+    resumed inside a buffer that a short read leaves part filled."""
+    buffers, i = list(buffers), 0  # a part-filled buffer is replaced by its rest
+    while i < len(buffers):
+        chunk = buffers[i:i + _IOV_MAX]
+        got = os.preadv(fd, chunk, at)
+        at += got
+        # the usual case: the whole chunk was read (the last one ends the file)
+        if at == end if i + len(chunk) == len(buffers) else got == sum(b.nbytes for b in chunk):
+            i += len(chunk)
+            continue
+        if not got:
+            raise ValueError(f"HBS1 file ended at byte {at} while its blocks were "
+                             "read: it changed after its headers were")
+        for b in chunk:
+            if got < b.nbytes:
+                if got:
+                    buffers[i] = b.reshape(-1).view(np.uint8)[got:]
+                break
+            got -= b.nbytes
+            i += 1
+
+
 def load(path):
     """Load either an HbsMatrix or an HbsInverse, as the root's role dictates.
 
-    Any malformed file raises ValueError: a short read (naming the node and
-    byte offset), trailing bytes, records out of node order, a role or
+    A first pass reads only the record and block headers and checks them:
+    any malformed file raises ValueError, for a short read (naming the node
+    and byte offset), trailing bytes, records out of node order, a role or
     block count that does not fit the node's place in the tree, or block
     shapes that do not fit the tree's sizes and the neighbouring ranks.
-    These checks cost O(#records); a loaded HbsMatrix also passes
-    `validate`, which scans every entry.  An HbsInverse's entries are not
-    scanned here: `apply_inverse` raises on a non-finite result.
+    Only then are the stacks allocated, and each block is read once from
+    the file into its slot.  These checks cost O(#records); a loaded
+    HbsMatrix also has every entry checked to be finite.  An HbsInverse's
+    entries are not scanned here: `apply_inverse` raises on a non-finite
+    result.
     """
-    with open(path, "rb") as f:
-        r = _Reader(f)
-        magic, n, levels, _ = r.take(_HEADER, "header")
+    with open(path, "rb", buffering=0) as f:
+        scan = _Scan(f.fileno(), os.fstat(f.fileno()).st_size)
+        magic, n, levels, _ = scan.take(_HEADER, "header")
         if magic != HBS_MAGIC:
             raise ValueError(f"not an HBS1 file: bad magic {magic!r}")
         if n >> levels == 0:
             raise ValueError(f"header: N = {n} cannot fill the 2^{levels} leaves "
                              f"of a depth-{levels} tree")
-        kinds, stores = (False, True), defaultdict(dict)
+        kinds, records, shapes = (False, True), [], defaultdict(dict)
         for tau in range(1, 2 << levels):
-            inverse, blocks = r.record(tau, levels, kinds)
+            inverse, names = scan.record(tau, levels, kinds, shapes)
             kinds = (inverse,)
-            for name, block in blocks.items():
-                stores[name][tau] = block
-        r.end()
-    # the file held a record per node, so the tree is no larger than the file
-    tree = tree_with_levels(n, levels)
-    out = (HbsInverse if inverse else HbsMatrix)(tree, **stores)
-    errors = block_errors(tree, stores, inverse=True) if inverse else validate(out)
+            records.append(names)
+        scan.end()
+        kind = HbsInverse if inverse else HbsMatrix
+        shapes = {name: shapes[name] for name in kind.NAMES}  # NAMES order: the stacks' sort key
+        # the file held a record per node, so the tree is no larger than the file
+        tree = tree_with_levels(n, levels)
+        errors = block_errors(tree, shapes, inverse)
+        if errors:
+            raise ValueError(f"inconsistent HBS1 file: {'; '.join(errors[:3])}")
+        out = kind(tree, stacks=allocate_stacks(shapes))
+        # the file after its header is, record by record, the record's header
+        # and each block's shape and data: one read fills every slot
+        record, shape, buffers = np.empty(_RECORD.size, np.uint8), np.empty(_SHAPE.size, np.uint8), []
+        blocks = {name: getattr(out, name) for name in kind.NAMES}
+        for tau, names in enumerate(records, 1):
+            buffers.append(record)
+            for name in names:
+                buffers += (shape, blocks[name][tau])
+        _read_into(f.fileno(), buffers, _HEADER.size, scan.size)
+    errors = [] if inverse else nonfinite_blocks(out)
     if errors:
         raise ValueError(f"inconsistent HBS1 file: {'; '.join(errors[:3])}")
     return out

@@ -57,6 +57,14 @@ def random_hbs(rng, n=256, target_leaf=32, max_rank=6):
     return hb.HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21)
 
 
+def with_blocks(A, **stores):
+    """A new HbsMatrix from A's blocks and skeletons, with `stores` ({name:
+    {node: block}}) in place of the named ones.  Blocks are read-only
+    mappings, so tests build a modified or defective matrix this way."""
+    blocks = {name: getattr(A, name) for name in A.NAMES}
+    return hb.HbsMatrix(A.tree, **{**blocks, **stores}, local_skeletons=A.local_skeletons)
+
+
 def random_block_separable(rng, p=4, n=6, k=2):
     """Random invertible single-level block-separable matrix."""
     from hbsolve.inversion import BlockSeparableMatrix

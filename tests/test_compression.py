@@ -237,6 +237,9 @@ def test_solve_workflow_rhs_length_check():
     grid = circle_grid(16, 10)
     with pytest.raises(ValueError, match="rhs"):
         solve_workflow(grid, CompressionConfig(), np.zeros(3))
+    f = np.ones(grid.size)
+    with pytest.raises(ValueError, match="rhs has complex dtype complex128"):
+        solve_workflow(grid, CompressionConfig(), f + 1j * f)
 
 
 def test_solve_workflow_block_rhs():

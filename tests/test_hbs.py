@@ -3,6 +3,7 @@ import pytest
 
 import hbsolve as hb
 from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis
+from hbsolve.serialization import load, save_hbs, save_inverse
 from conftest import (
     BLOCK_WIDTHS,
     COMPRESSED_CONTOURS,
@@ -10,6 +11,7 @@ from conftest import (
     dense_compression,
     depth_zero_hbs,
     random_hbs,
+    with_blocks,
 )
 
 
@@ -139,6 +141,28 @@ def test_extended_basis_factorizes_offdiagonal(rng):
         assert np.allclose(E[np.ix_(i1, i2)], U1 @ A.B12[1] @ V2.T, atol=1e-12)
 
 
+def test_each_block_is_stored_once(tmp_path, smooth_star_600):
+    _, A, inv = smooth_star_600
+    save_hbs(tmp_path / "a.hbs", A)
+    save_inverse(tmp_path / "i.hbs", inv)
+    for obj in (A, inv, load(tmp_path / "a.hbs"), load(tmp_path / "i.hbs"),
+                hb.hbs_transpose(A), hb.inverse_transpose(inv)):
+        stacks = [S for levels in obj.stacks.values() for buckets in levels.values()
+                  for _, S in buckets]
+        blocks = [b for name in obj.NAMES for b in getattr(obj, name).values()]
+        assert all(any(np.shares_memory(b, S) for S in stacks) for b in blocks)
+        assert sum(S.size for S in stacks) == sum(b.size for b in blocks)
+    back = load(tmp_path / "i.hbs")
+    tau = max(back.G)
+    with pytest.raises(TypeError, match=f"node {tau}"):
+        back.G[tau] = back.G[tau].copy()
+    with pytest.raises(TypeError, match=f"node {tau}"):
+        del back.G[tau]
+    back.G[tau] += 1.0  # an in-place edit reaches the stack
+    assert np.array_equal(back.G[tau], inv.G[tau] + 1.0)
+    assert any(np.shares_memory(back.G[tau], S) for _, S in back.stacks["G"][back.tree.levels])
+
+
 def test_storage_is_data_sparse():
     Ah = dense_compression("circle", 64)[2]
     kmax = max(Ah.rank_of(t) for t in Ah.U)
@@ -160,7 +184,7 @@ def test_validate_well_formed(rng):
 def test_validate_detects_defects(rng):
     A = random_hbs(rng)
     k = A.U[2].shape[1]
-    A.U[2] = np.zeros((A.U[2].shape[0] + 1, k))  # wrong row count
+    A = with_blocks(A, U={**A.U, 2: np.zeros((A.U[2].shape[0] + 1, k))})  # wrong row count
     issues = hb.validate(A)
     assert any("node 2" in s or "parent 2" in s for s in issues)
 
@@ -169,22 +193,25 @@ def test_validate_detects_defects(rng):
     assert any("non-finite" in s for s in hb.validate(B))
 
     C = random_hbs(rng)
-    C.V[3] = np.hstack([C.V[3], C.V[3][:, :1]])  # non-leaf V one column wider
+    wider = np.hstack([C.V[3], C.V[3][:, :1]])  # non-leaf V one column wider
+    C = with_blocks(C, V={**C.V, 3: wider})
     assert f"node 3: V shape {C.V[3].shape}, expected {C.U[3].shape}" in " ".join(hb.validate(C))
 
 
 def test_validate_reports_missing_and_extra_blocks(rng):
     A = random_hbs(rng)
     leaf = A.tree.node_count
-    del A.V[leaf]
-    A.U[1] = np.eye(2)  # the root carries no basis
-    A.D[2 * leaf] = np.eye(2)  # nor does a node outside the tree
+    V = dict(A.V)
+    del V[leaf]
+    A = with_blocks(A, V=V,
+                    U={**A.U, 1: np.eye(2)},  # the root carries no basis
+                    D={**A.D, 2 * leaf: np.eye(2)})  # nor does a node outside the tree
     issues = hb.validate(A)
     for issue in (f"node {leaf}: missing V", "node 1: unexpected U",
                   f"node {2 * leaf}: unexpected D"):
         assert issue in issues
     B = depth_zero_hbs(rng)
-    B.B12[1] = np.eye(1)
+    B = with_blocks(B, B12={**B.B12, 1: np.eye(1)})
     assert hb.validate(B) == ["node 1: unexpected B12"]
 
 
@@ -193,7 +220,7 @@ def test_validate_checks_interpolatory_identity():
         Ah = dense_compression(contour, 32)[2]
         assert Ah.local_skeletons
         leaf = next(iter(Ah.tree.leaves))
-        Ah.U[leaf] = Ah.U[leaf] + 1e-3  # break U[skeleton] = I
+        Ah = with_blocks(Ah, U={**Ah.U, leaf: Ah.U[leaf] + 1e-3})  # break U[skeleton] = I
         assert any("skeleton" in s for s in hb.validate(Ah))
 
 
@@ -215,6 +242,11 @@ def test_block_matvec_matches_columns(rng, smooth_star_600, corner_star_8000):
             X = rng.standard_normal((n, m))
             assert assert_block_matches_columns(lambda x: hb.hbs_matvec(A, x), X).shape == X.shape
         assert hb.hbs_matvec(A, np.zeros((n, 0))).shape == (n, 0)
+        # the layouts a caller may hand in: column-major, a strided column
+        # view, a single column, integers
+        X = rng.standard_normal((n, 14))
+        for Y in (np.asfortranarray(X[:, :7]), X[:, ::2], X[:, :1], rng.integers(-5, 6, (n, 7))):
+            assert assert_block_matches_columns(lambda x: hb.hbs_matvec(A, x), Y).shape == Y.shape
 
 
 def test_block_matvec_matches_expand_dense(rng, smooth_star_600):
@@ -232,6 +264,10 @@ def test_block_matvec_rejects_wrong_shapes(rng):
         for bad in (np.zeros(n + 1), np.zeros((n, 3, 1)), np.zeros((3, n)),
                     np.zeros((n + 1, 3)), np.float64(1.0)):
             with pytest.raises(ValueError, match=rf"\({n},\) or \({n}, m\)"):
+                hb.hbs_matvec(A, bad)
+        # a complex input is refused, not cut to its real part
+        for bad in (np.ones(n) + 1j, np.ones((n, 3), np.complex64)):
+            with pytest.raises(ValueError, match=f"complex dtype {bad.dtype}"):
                 hb.hbs_matvec(A, bad)
 
 

@@ -22,6 +22,7 @@ from conftest import (
     random_block_separable,
     random_hbs,
     star_grid,
+    with_blocks,
 )
 
 
@@ -143,14 +144,11 @@ def conditioned_hbs(rng, **kwargs):
     """random_hbs with U = V orthonormal, leaf blocks I + (norm 0.1) and B
     blocks of norm <= 0.1, so every block the inversion meets is near I."""
     A = random_hbs(rng, **kwargs)
-    for tau in A.U:
-        A.U[tau] = A.V[tau] = np.linalg.qr(A.U[tau])[0]
-    for tau, D in A.D.items():
-        A.D[tau] = np.eye(len(D)) + 0.1 * D / np.linalg.norm(D, 2)
-    for store in (A.B12, A.B21):
-        for tau, B in store.items():
-            store[tau] = 0.1 * B / max(np.linalg.norm(B, 2), 1.0)
-    return A
+    U = {tau: np.linalg.qr(A.U[tau])[0] for tau in A.U}
+    D = {tau: np.eye(len(D)) + 0.1 * D / np.linalg.norm(D, 2) for tau, D in A.D.items()}
+    B12, B21 = ({tau: 0.1 * B / max(np.linalg.norm(B, 2), 1.0) for tau, B in store.items()}
+                for store in (A.B12, A.B21))
+    return hb.HbsMatrix(A.tree, D=D, U=U, V=U, B12=B12, B21=B21)
 
 
 @settings(deadline=None, max_examples=40)
@@ -178,6 +176,11 @@ def test_block_apply_inverse_matches_columns(rng, smooth_star_600, corner_star_8
             Q = assert_block_matches_columns(lambda x: apply_inverse(inv, x), X)
             assert Q.shape == X.shape
         assert apply_inverse(inv, np.zeros((n, 0))).shape == (n, 0)
+        # the layouts a caller may hand in: column-major, a strided column
+        # view, a single column, integers
+        X = rng.standard_normal((n, 14))
+        for Y in (np.asfortranarray(X[:, :7]), X[:, ::2], X[:, :1], rng.integers(-5, 6, (n, 7))):
+            assert assert_block_matches_columns(lambda x: apply_inverse(inv, x), Y).shape == Y.shape
 
 
 def test_block_apply_inverse_rejects_wrong_shapes(rng):
@@ -186,6 +189,10 @@ def test_block_apply_inverse_rejects_wrong_shapes(rng):
         for bad in (np.zeros(n + 1), np.zeros((n, 3, 1)), np.zeros((3, n)),
                     np.zeros((n + 1, 3)), np.float64(1.0)):
             with pytest.raises(ValueError, match=rf"\({n},\) or \({n}, m\)"):
+                apply_inverse(inv, bad)
+        # a complex input is refused, not cut to its real part
+        for bad in (np.ones(n) + 1j, np.ones((n, 3), np.complex64)):
+            with pytest.raises(ValueError, match=f"complex dtype {bad.dtype}"):
                 apply_inverse(inv, bad)
 
 
@@ -201,7 +208,7 @@ def test_bs_inverse_applies_blocks(rng):
 def test_hbs_invert_names_singular_node(rng):
     A = random_hbs(rng, n=64, target_leaf=16)
     leaf = next(iter(A.tree.leaves))
-    A.D[leaf] = np.zeros_like(A.D[leaf])
+    A = with_blocks(A, D={**A.D, leaf: np.zeros_like(A.D[leaf])})
     with pytest.raises(SingularBlockError, match=f"node {leaf}"):
         hbs_invert(A)
 

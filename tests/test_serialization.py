@@ -4,7 +4,7 @@ import pytest
 import hbsolve as hb
 from hbsolve.hbs import block_layout
 from hbsolve.inversion import apply_inverse, hbs_invert
-from hbsolve.serialization import HBS_MAGIC, load, save_hbs, save_inverse
+from hbsolve.serialization import HBS_MAGIC, _read_into, load, save_hbs, save_inverse
 from conftest import depth_zero_hbs, random_hbs
 
 
@@ -245,3 +245,28 @@ def test_header_depth_must_fit_n(tmp_path, saved_pair):
     bad[8:12] = (2**32 - 1).to_bytes(4, "little")  # levels
     with pytest.raises(ValueError, match="cannot fill"):
         load_bytes(tmp_path, bad)
+
+
+def test_block_reads_resume_and_stop_at_the_end_of_the_file(tmp_path, monkeypatch):
+    # load reads the blocks after checking the headers: a short read resumes
+    # inside the buffer it left part filled, and a file cut short in between
+    # raises instead of leaving a slot unfilled
+    import os
+
+    path = tmp_path / "twenty.bin"
+    path.write_bytes(bytes(range(20)))
+    preadv = os.preadv
+
+    def at_most_3_bytes(fd, buffers, at):
+        return preadv(fd, [buffers[0].reshape(-1).view(np.uint8)[:3]], at)
+
+    with open(path, "rb") as f:
+        blocks = [np.zeros(8, np.uint8), np.zeros(0, np.uint8), np.zeros(12, np.uint8)]
+        with monkeypatch.context() as m:
+            m.setattr(os, "preadv", at_most_3_bytes)
+            _read_into(f.fileno(), blocks, 0, 20)
+        assert list(np.concatenate(blocks)) == list(range(20))
+        first, second = np.zeros(4, np.uint8), np.zeros(12, np.uint8)
+        with pytest.raises(ValueError, match="ended at byte 20"):
+            _read_into(f.fileno(), [first, second], 8, 24)
+    assert list(first) == [8, 9, 10, 11] and list(second[:8]) == list(range(12, 20))
