@@ -96,31 +96,24 @@ def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
     active_r = {tau: tree.indices(tau) for tau in tree.leaves}
     active_c = dict(active_r)
     stacks = {name: {} for name in HbsMatrix.NAMES}
-    row_skel, col_skel, local_skel = {}, {}, {}
+    row_skel, col_skel, local_skel, ranks = {}, {}, {}, {}
 
-    def store(nodes, coeffs):
-        """Put one level's blocks into new stacks: the IDs' coefficients
-        `coeffs` ({name: {node: U or V}}), and, each evaluated by `entry`
-        straight into its slot, a leaf's D or a parent's B pair between its
-        children's skeletons."""
-        if tree.is_leaf(nodes[0]):
-            exact = {"D": {tau: (active_r[tau], active_c[tau]) for tau in nodes}}
-        else:
-            exact = {"B12": {tau: (row_skel[2 * tau], col_skel[2 * tau + 1]) for tau in nodes},
-                     "B21": {tau: (row_skel[2 * tau + 1], col_skel[2 * tau]) for tau in nodes}}
-        shapes = {name: {} for name in HbsMatrix.NAMES}  # in NAMES order: the stacks' sort key
-        for name, of in coeffs.items():
-            shapes[name] = {tau: b.shape for tau, b in of.items()}
-        for name, of in exact.items():
-            shapes[name] = {tau: (len(r), len(c)) for tau, (r, c) in of.items()}
-        level_stacks = allocate_stacks(shapes)
+    def store(level, coeffs):
+        """Put one level's blocks into new stacks, allocated from the ranks:
+        the IDs' coefficients `coeffs` ({name: {node: U or V}}), and, each
+        evaluated by `entry` straight into its slot, a leaf's D or a
+        parent's B pair between its children's skeletons."""
+        level_stacks = allocate_stacks(tree, ranks, False, [level])
         slots = block_views(level_stacks)
         for name, of in coeffs.items():
             for tau, b in of.items():
                 slots[name][tau][...] = b
-        for name, of in exact.items():
-            for tau, (r, c) in of.items():
-                slots[name][tau][...] = entry(r, c)
+        for tau in tree.nodes_at_level(level):
+            if tree.is_leaf(tau):
+                slots["D"][tau][...] = entry(active_r[tau], active_c[tau])
+            else:
+                slots["B12"][tau][...] = entry(row_skel[2 * tau], col_skel[2 * tau + 1])
+                slots["B21"][tau][...] = entry(row_skel[2 * tau + 1], col_skel[2 * tau])
         for name, levels in level_stacks.items():
             stacks[name].update(levels)
 
@@ -131,15 +124,16 @@ def _compress(tree: IndexTree, cfg: CompressionConfig, sampler, entry):
             R, C = sampler.sample(level, tau, active_r[tau], active_c[tau], ctx)
             idr, idc = _node_id(R, C, cfg.tol, cfg.symmetrize)
             coeffs["U"][tau], coeffs["V"][tau] = idr.coeffs, idc.coeffs
+            ranks[tau] = idr.rank
             row_skel[tau] = active_r[tau][idr.skeleton]
             col_skel[tau] = active_c[tau][idc.skeleton]
             local_skel[tau] = (idr.skeleton, idc.skeleton)
-        store(tree.nodes_at_level(level), coeffs)
+        store(level, coeffs)
         for parent in tree.nodes_at_level(level - 1):
             s1, s2 = 2 * parent, 2 * parent + 1
             active_r[parent] = np.concatenate([row_skel[s1], row_skel[s2]])
             active_c[parent] = np.concatenate([col_skel[s1], col_skel[s2]])
-    store(tree.nodes_at_level(0), {})
+    store(0, {})
 
     A = HbsMatrix(tree, local_skeletons=local_skel, stacks=stacks)
     return A, SkeletonSet(row=row_skel, col=col_skel)

@@ -12,11 +12,13 @@ D[1], the whole matrix.  Per-node ranks may differ, but each node's row
 and column rank agree (U and V have the same column count), which the
 recursive inversion relies on.
 
-Blocks live in stacks: all of a level's blocks of one name and shape are
-one (count, rows, cols) array, and `A.U[tau]` and the like are read-only
-mappings from a node to a view of its slot (allocate_stacks, Blocks).  One
-traversal of the stacks, level by level, serves the matvec and the
-factored inverse's apply (_telescope).
+The tree and the per-node ranks fix every block's name and shape, for a
+matrix and for its factored inverse alike (block_layout).  Blocks live in
+stacks allocated from that table: all of a level's blocks of one name and
+shape are one (count, rows, cols) array, and `A.U[tau]` and the like are
+read-only mappings from a node to a view of its slot (allocate_stacks,
+Blocks).  One traversal of the stacks, level by level, serves the matvec
+and the factored inverse's apply (_telescope).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class Blocks(Mapping):
 
     def __setitem__(self, tau, block):
         # `blocks[tau] += x` edits the view, then stores that same view back
-        if block is not self._views.get(tau):
+        if tau not in self._views or block is not self._views[tau]:
             raise TypeError(f"cannot rebind the block of node {tau}: blocks are views "
                             "of their stacks; build a new object from dicts instead")
 
@@ -73,47 +75,114 @@ class Blocks(Mapping):
         return f"Blocks(nodes={sorted(self._views)})"
 
 
-def allocate_stacks(shapes):
-    """Empty stacks for blocks of the given shapes, {name: {node: (rows, cols)}}.
+def block_names(levels, tau, inverse):
+    """Names of node tau's blocks, in HBS1 record order, in a depth-`levels`
+    HBS matrix or, if `inverse`, its factored inverse.  In a matrix a leaf
+    holds D, a non-root node U and V, and a parent B12 and B21; a depth-0
+    root is a leaf and holds only D.  In an inverse a non-root node holds E,
+    F, G and Dhat, and the root G."""
+    if inverse:
+        return ("G",) if tau == 1 else ("E", "F", "G", "Dhat")
+    leaf = ("D",) if tau >> levels else ()
+    basis = ("U", "V") if tau > 1 else ()
+    pair = () if tau >> levels else ("B12", "B21")
+    return leaf + basis + pair
+
+
+def block_layout(tree, ranks, tau, inverse):
+    """Node tau's blocks as ((name, (rows, cols)), ...), in block_names
+    order, for the per-node ranks `ranks` ({node: k}; a missing rank reads
+    0).  With n the node's size at a leaf and its children's stacked ranks
+    k1 + k2 at a parent, and k its rank: D and G are n x n, U, V, E and F
+    n x k, Dhat k x k, B12 k1 x k2 and B21 k2 x k1.  This table is the one
+    source of every block's shape: the stacks, the checks and HBS1 records
+    follow it."""
+    leaf = tau >> tree.levels
+    if leaf:
+        start, stop = tree.ranges[tau]
+        n = stop - start
+    else:
+        k1, k2 = ranks.get(2 * tau, 0), ranks.get(2 * tau + 1, 0)
+        n = k1 + k2
+    k = ranks.get(tau, 0)
+    if inverse:
+        return (("G", (n, n)),) if tau == 1 else (("E", (n, k)), ("F", (n, k)), ("G", (n, n)),
+                                                  ("Dhat", (k, k)))
+    if leaf:
+        return (("D", (n, n)), ("U", (n, k)), ("V", (n, k))) if tau > 1 else (("D", (n, n)),)
+    pair = (("B12", (k1, k2)), ("B21", (k2, k1)))
+    return (("U", (n, k)), ("V", (n, k))) + pair if tau > 1 else pair
+
+
+def block_ranks(tree, shapes, inverse, what):
+    """The per-node ranks of blocks of the given shapes ({name: {node: (rows,
+    cols)}}) of an HBS matrix over `tree` (its U's column counts) or, if
+    `inverse`, of its factored inverse (its Dhat's orders).
+
+    Raises ValueError, `what` followed by up to three of the missing, extra
+    and misshapen blocks against block_layout for those ranks.  Nodes are
+    checked fine to coarse, so a block that misstates its node's rank is
+    reported before the parent's blocks that the wrong rank then misfits."""
+    axis = 0 if inverse else 1
+    ranks = {tau: s[axis] for tau, s in shapes.get("Dhat" if inverse else "U", {}).items()}
+    errors, found = [], 0
+    for tau in range(tree.node_count, 0, -1):
+        for name, shape in block_layout(tree, ranks, tau, inverse):
+            got = shapes.get(name, {}).get(tau)
+            if got is None:
+                errors.append(f"node {tau}: missing {name}")
+                continue
+            found += 1
+            if tuple(got) != shape:
+                errors.append(f"node {tau}: {name} shape {tuple(got)}, expected {shape}")
+    if sum(map(len, shapes.values())) > found:  # a block that no node's layout names
+        errors += [f"node {tau}: unexpected {name}" for name, of in shapes.items()
+                   for tau in of if tau not in range(1, tree.node_count + 1)
+                   or name not in block_names(tree.levels, tau, inverse)]
+    if errors:
+        raise ValueError(f"{what}: {'; '.join(errors[:3])}")
+    return ranks
+
+
+def allocate_stacks(tree, ranks, inverse, levels):
+    """Empty stacks for the blocks at the given tree levels of an HBS matrix
+    over `tree` or, if `inverse`, its factored inverse, shaped by
+    block_layout for the per-node ranks `ranks`.
 
     Returns {name: {level: [(nodes, stack), ...]}}, each stack one
     (len(nodes), rows, cols) array, all of them views of one buffer (which
-    numpy backs with huge pages when it is large, so filling it faults
-    few pages).  A level's nodes are sorted by their blocks' shapes, taken
-    in the order of the names, then by number; every stack lists its nodes
-    in that order, and a name's stacks follow the order of their first
-    nodes.  So the stacks of a name whose shape is fixed by a prefix of that
-    key (a leaf's D, by its size) each cover a run of consecutive stacks of
-    the finer names (its U and V, by size and rank).
+    numpy backs with huge pages when it is large, so filling it faults few
+    pages).  A level's nodes are sorted by their blocks' shapes, in record
+    order, then by number; every stack lists its nodes in that order, and a
+    name's stacks follow the order of their first nodes.  So the stacks of a
+    name whose shape is fixed by a prefix of that key (a leaf's D and an
+    inverse's G, by the node's size) each cover a run of consecutive stacks
+    of the finer names (its U and V, or E and F, by size and rank).
     """
-    absent = (-1,)  # sorts before every shape
-    ofs = list(shapes.values())
-    groups = {}  # (level + 1, the shapes) -> nodes
-    for tau in sorted(set().union(*ofs)):
-        key = (int(tau).bit_length(), tuple([of.get(tau, absent) for of in ofs]))
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [tau]
-        else:
-            group.append(tau)
-    keys = sorted(groups)
-    buckets = {}  # (name, level + 1, shape) -> nodes, in the order of the first ones
-    for i, name in enumerate(shapes):
-        for depth, key in keys:
-            if key[i] is not absent:
-                nodes = buckets.get((name, depth, key[i]))
+    buckets = {}  # (name, level, shape) -> nodes, in the order of the first ones
+    for level in levels:
+        groups = {}  # a layout -> its nodes, by number
+        for tau in tree.nodes_at_level(level):
+            layout = block_layout(tree, ranks, tau, inverse)
+            nodes = groups.get(layout)
+            if nodes is None:
+                groups[layout] = [tau]
+            else:
+                nodes.append(tau)
+        layouts = sorted(groups)
+        for i, (name, _) in enumerate(layouts[0]):
+            for layout in layouts:
+                nodes = buckets.get((name, level, layout[i][1]))
                 if nodes is None:
-                    buckets[name, depth, key[i]] = groups[depth, key][:]
+                    buckets[name, level, layout[i][1]] = groups[layout][:]
                 else:
-                    nodes += groups[depth, key]
-    stacks = {name: {} for name in shapes}
+                    nodes += groups[layout]
+    stacks = {}
     sizes = [len(nodes) * math.prod(shape) for (*_, shape), nodes in buckets.items()]
     pool, at = np.empty(sum(sizes)), 0
-    for ((name, depth, shape), nodes), size in zip(buckets.items(), sizes):
-        levels = stacks[name]
-        if depth - 1 not in levels:
-            levels[depth - 1] = []
-        levels[depth - 1].append((nodes, pool[at:at + size].reshape(len(nodes), *shape)))
+    for ((name, level, shape), nodes), size in zip(buckets.items(), sizes):
+        stacks.setdefault(name, {}).setdefault(level, []).append(
+            (nodes, pool[at:at + size].reshape(len(nodes), *shape)))
         at += size
     return stacks
 
@@ -125,11 +194,13 @@ def block_views(stacks):
             for name, levels in stacks.items()}
 
 
-def stack_blocks(blocks):
-    """Stacks holding a copy of each block of {name: {node: block}}; missing,
-    extra and misshapen blocks are stored as given, for validate to name."""
-    stacks = allocate_stacks({name: {tau: np.shape(b) for tau, b in of.items()}
-                              for name, of in blocks.items()})
+def stack_blocks(tree, blocks):
+    """Stacks holding a copy of each block of an HBS matrix over `tree`,
+    given as {name: {node: block}}; missing, extra and misshapen blocks
+    raise ValueError (block_ranks)."""
+    shapes = {name: {tau: np.shape(b) for tau, b in of.items()} for name, of in blocks.items()}
+    ranks = block_ranks(tree, shapes, False, "malformed HBS matrix")
+    stacks = allocate_stacks(tree, ranks, False, range(tree.levels + 1))
     for name, views in block_views(stacks).items():
         for tau, slot in views.items():
             slot[...] = blocks[name][tau]
@@ -159,12 +230,6 @@ class StackedBlocks:
         return sum(S.size for levels in self.stacks.values()
                    for buckets in levels.values() for _, S in buckets)
 
-    def block_shapes(self):
-        """{name: {node: (rows, cols)}} of every stored block."""
-        return {name: {tau: S.shape[1:] for buckets in levels.values()
-                       for nodes, S in buckets for tau in nodes}
-                for name, levels in self.stacks.items()}
-
     def coupling(self, level, start, k1, k2):
         """The products that map the outgoing values of level + 1, in parent
         order (see _Route), to its incoming ones, as (ops for _products, a
@@ -180,7 +245,8 @@ class StackedBlocks:
 
 class HbsMatrix(StackedBlocks):
     """An HBS matrix; D, U, V, B12 and B21 are Blocks mappings.  Built from
-    dicts {node: block}, each block is copied into its stack; `stacks`, from
+    dicts {node: block}, each block is copied into its stack, and blocks
+    that do not fit block_layout raise ValueError; `stacks`, from
     allocate_stacks, is used as it is instead."""
 
     NAMES = ("D", "U", "V", "B12", "B21")
@@ -189,8 +255,8 @@ class HbsMatrix(StackedBlocks):
     def __init__(self, tree, D=None, U=None, V=None, B12=None, B21=None,
                  local_skeletons=None, *, stacks=None):
         if stacks is None:
-            stacks = stack_blocks(dict(zip(self.NAMES, (D or {}, U or {}, V or {},
-                                                        B12 or {}, B21 or {}))))
+            stacks = stack_blocks(tree, dict(zip(self.NAMES, (D or {}, U or {}, V or {},
+                                                              B12 or {}, B21 or {}))))
         super().__init__(tree, stacks)
         # node -> (local row skeleton, local col skeleton) of an interpolatory
         # factorization: U[tau][row skeleton] = I and V[tau][col skeleton] = I
@@ -414,58 +480,6 @@ def expand_dense(A: HbsMatrix):
     return out
 
 
-def block_layout(levels, tau, inverse=False, n=0, k=0, k1=0, k2=0):
-    """Node tau's blocks in HBS1 record order, as ((name, (rows, cols)), ...),
-    in a depth-`levels` HBS matrix or, if `inverse`, its factored inverse.
-
-    In a matrix a leaf holds D, a non-root node U and V, and a parent B12
-    and B21, in that order; a depth-0 root is a leaf and holds only D.  In
-    an inverse a non-root node holds E, F, G and Dhat, and the root G.
-    The shapes hold for n the node's size at a leaf and its children's
-    stacked ranks k1 + k2 at a parent, and k its rank.
-    """
-    if inverse:
-        if tau == 1:
-            return (("G", (n, n)),)
-        return (("E", (n, k)), ("F", (n, k)), ("G", (n, n)), ("Dhat", (k, k)))
-    leaf = (("D", (n, n)),) if tau >> levels else ()
-    basis = (("U", (n, k)), ("V", (n, k))) if tau > 1 else ()
-    pair = () if tau >> levels else (("B12", (k1, k2)), ("B21", (k2, k1)))
-    return leaf + basis + pair
-
-
-def block_errors(tree, shapes, inverse=False):
-    """Missing, extra and misshapen blocks in `shapes` ({name: {node: (rows,
-    cols)}}) of an HBS matrix or, if `inverse`, its factored inverse,
-    against block_layout.  A node's rank is its U's column count (matrix)
-    or its Dhat's order (inverse).  Nodes are checked fine to coarse, so a
-    block that misstates its node's rank is reported before the parent's
-    blocks that the wrong rank then misfits."""
-    axis = 0 if inverse else 1
-    rank = {tau: s[axis] for tau, s in shapes.get("Dhat" if inverse else "U", {}).items()}
-    levels, errors, found = tree.levels, [], 0
-    for tau in range(tree.node_count, 0, -1):
-        if tau >> levels:  # a leaf
-            start, stop = tree.ranges[tau]
-            n, k1, k2 = stop - start, 0, 0
-        else:
-            k1, k2 = rank.get(2 * tau, 0), rank.get(2 * tau + 1, 0)
-            n = k1 + k2
-        for name, shape in block_layout(levels, tau, inverse, n, rank.get(tau, 0), k1, k2):
-            got = shapes[name].get(tau)
-            if got is None:
-                errors.append(f"node {tau}: missing {name}")
-                continue
-            found += 1
-            if tuple(got) != shape:
-                errors.append(f"node {tau}: {name} shape {tuple(got)}, expected {shape}")
-    if sum(map(len, shapes.values())) > found:  # a block that no node's layout names
-        errors += [f"node {tau}: unexpected {name}" for name, of in shapes.items()
-                   for tau in of if tau not in range(1, tree.node_count + 1)
-                   or name not in dict(block_layout(levels, tau, inverse))]
-    return errors
-
-
 def nonfinite_blocks(obj: StackedBlocks):
     """One "node: non-finite entries in name" line per block holding a NaN
     or Inf, found with one scan per stack."""
@@ -476,10 +490,10 @@ def nonfinite_blocks(obj: StackedBlocks):
 
 
 def validate(A: HbsMatrix):
-    """Dimensional and structural audit; returns a list of violation strings:
-    block_errors, non-finite entries, and skeleton rows of U or V that are
-    not the identity."""
-    issues = block_errors(A.tree, A.block_shapes()) + nonfinite_blocks(A)
+    """Audit of the entries; returns a list of violation strings: non-finite
+    entries, and skeleton rows of U or V that are not the identity.  Block
+    shapes need no audit: the constructors allow only block_layout's."""
+    issues = nonfinite_blocks(A)
     for tau, (rloc, cloc) in A.local_skeletons.items():
         if tau in A.U and len(rloc) == A.U[tau].shape[1]:
             if not np.array_equal(A.U[tau][rloc], np.eye(len(rloc))):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .hbs import (HbsMatrix, StackedBlocks, _telescope, allocate_stacks, block_views,
-                  stack_blocks, transposed)
+from .hbs import HbsMatrix, StackedBlocks, _telescope, allocate_stacks, block_views, transposed
 
 COND_WARN_THRESHOLD = 1e13
 
@@ -54,22 +53,19 @@ def _inv(M, what):
     return out, float(cond)
 
 
-def _node_factors(Dt, U, V, what, out=None):
-    """E, F, G, Dhat of one block from its (reduced) diagonal block Dt, and
-    its condition estimates.  Given `out`, four arrays of the factors'
-    shapes, the factors are written there instead of into new arrays."""
-    E, F, G, Dhat = (None,) * 4 if out is None else out
+def _node_factors(Dt, U, V, what, out):
+    """Write E, F, G, Dhat of one block, from its (reduced) diagonal block
+    Dt, into `out`, four arrays of their shapes; returns the block's
+    condition estimates."""
+    E, F, G, Dhat = out
     Dtinv, cond_Dt = _inv(Dt, what)
     DiU = Dtinv @ U
     ViDi = V.T @ Dtinv
     Dh, cond_M = _inv(V.T @ DiU, f"V* D~^-1 U of {what}")
-    E = np.matmul(DiU, Dh, out=E)
-    G = np.subtract(Dtinv, np.matmul(E, ViDi, out=G), out=G)
-    if out is None:
-        F, Dhat = (Dh @ ViDi).T, Dh
-    else:
-        F[...], Dhat[...] = (Dh @ ViDi).T, Dh
-    return E, F, G, Dhat, {"cond_Dtilde": cond_Dt, "cond_core": cond_M}
+    np.matmul(DiU, Dh, out=E)
+    np.subtract(Dtinv, np.matmul(E, ViDi, out=G), out=G)
+    F[...], Dhat[...] = (Dh @ ViDi).T, Dh
+    return {"cond_Dtilde": cond_Dt, "cond_core": cond_M}
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +120,12 @@ def bs_invert(A: BlockSeparableMatrix) -> BlockSeparableInverse:
     E, F, G, Dhat = [], [], [], []
     telemetry = {}
     for i, (Di, Ui, Vi) in enumerate(zip(A.D, A.U, A.V)):
-        Ei, Fi, Gi, Dhi, tel = _node_factors(Di, Ui, Vi, f"block {i}")
-        E.append(Ei)
-        F.append(Fi)
-        G.append(Gi)
-        Dhat.append(Dhi)
-        telemetry[i] = tel
+        n, k = Ui.shape
+        E.append(np.empty((n, k)))
+        F.append(np.empty((n, k)))
+        G.append(np.empty((n, n)))
+        Dhat.append(np.empty((k, k)))
+        telemetry[i] = _node_factors(Di, Ui, Vi, f"block {i}", (E[-1], F[-1], G[-1], Dhat[-1]))
     from scipy.linalg import block_diag
 
     shifted = A.core + block_diag(*Dhat) if Dhat else A.core
@@ -144,18 +140,14 @@ def bs_invert(A: BlockSeparableMatrix) -> BlockSeparableInverse:
 
 
 class HbsInverse(StackedBlocks):
-    """Per-node inverse factors, E, F, G and Dhat as Blocks mappings; G[1]
-    is the dense inverse of the root's reduced block: the 2x2 block system,
-    or at depth 0 the whole matrix.  Built from dicts {node: block}, each
-    block is copied into its stack; `stacks` is used as it is instead."""
+    """Per-node inverse factors, E, F, G and Dhat as Blocks mappings over
+    `stacks` (allocate_stacks); G[1] is the dense inverse of the root's
+    reduced block: the 2x2 block system, or at depth 0 the whole matrix."""
 
     NAMES = ("E", "F", "G", "Dhat")
     UP, DOWN, DIAG = "F", "E", "G"
 
-    def __init__(self, tree, E=None, F=None, G=None, Dhat=None, telemetry=None, *,
-                 stacks=None):
-        if stacks is None:
-            stacks = stack_blocks(dict(zip(self.NAMES, (E or {}, F or {}, G or {}, Dhat or {}))))
+    def __init__(self, tree, telemetry=None, *, stacks):
         super().__init__(tree, stacks)
         self.telemetry = {} if telemetry is None else telemetry
 
@@ -165,11 +157,14 @@ class HbsInverse(StackedBlocks):
 
 
 def hbs_invert(A: HbsMatrix) -> HbsInverse:
-    """Recursive inversion, fine to coarse; exact up to rounding.  Each
-    level's stacks are allocated once its shapes are known (they follow
-    A's), and each node's factors are written into their slots."""
+    """Recursive inversion, fine to coarse; exact up to rounding.  The
+    inverse's stacks are allocated at once from A's ranks, and each node's
+    factors are written into their slots."""
     tree = A.tree
-    stacks, telemetry, Dhat = {name: {} for name in HbsInverse.NAMES}, {}, {}
+    stacks = allocate_stacks(tree, {tau: A.rank_of(tau) for tau in A.U}, True,
+                             range(tree.levels + 1))
+    slots, telemetry = block_views(stacks), {}
+    E, F, G, Dhat = (slots.get(name, {}) for name in ("E", "F", "G", "Dhat"))
 
     def reduced_block(tau):
         if tree.is_leaf(tau):
@@ -184,22 +179,12 @@ def hbs_invert(A: HbsMatrix) -> HbsInverse:
         return Dt
 
     for level in range(tree.levels, 0, -1):
-        nodes = tree.nodes_at_level(level)
-        shape = {tau: A.U[tau].shape for tau in nodes}
-        level_stacks = allocate_stacks({"E": shape, "F": shape,
-                                        "G": {tau: (n, n) for tau, (n, _) in shape.items()},
-                                        "Dhat": {tau: (k, k) for tau, (_, k) in shape.items()}})
-        slots = block_views(level_stacks)
-        for tau in nodes:
-            *_, telemetry[tau] = _node_factors(
+        for tau in tree.nodes_at_level(level):
+            telemetry[tau] = _node_factors(
                 reduced_block(tau), A.U[tau], A.V[tau], f"node {tau} (level {level})",
-                out=[slots[name][tau] for name in HbsInverse.NAMES])
-        Dhat.update(slots["Dhat"])
-        for name, levels in level_stacks.items():
-            stacks[name].update(levels)
-    G, cond = _inv(reduced_block(1), "node 1 (level 0)")
+                (E[tau], F[tau], G[tau], Dhat[tau]))
+    G[1][...], cond = _inv(reduced_block(1), "node 1 (level 0)")
     telemetry[1] = {"cond_Dtilde": cond}
-    stacks["G"][0] = [([1], G[None])]
     return HbsInverse(tree, telemetry=telemetry, stacks=stacks)
 
 

@@ -22,6 +22,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 COEFF_BOUND = 2.0
+MAXVOL_SWEEPS = 200  # row swaps _maxvol_refine makes at most
 
 
 @dataclass(eq=False)
@@ -77,14 +78,14 @@ def _adaptive_rank(R, tol):
     return min(k, m)
 
 
-def _maxvol_refine(C, J, max_sweeps=200):
+def _maxvol_refine(C, J):
     """Swap rows into J until all entries of C @ inv(C[J]) are <= 1 + 1e-8.
 
     C is m x k of full column rank.  Each swap strictly increases
     |det C[J]|, so the loop terminates.
     """
     J = list(J)
-    for _ in range(max_sweeps):
+    for _ in range(MAXVOL_SWEEPS):
         W = np.linalg.solve(C[J].T, C.T).T
         i, j = np.unravel_index(np.argmax(np.abs(W)), W.shape)
         if abs(W[i, j]) <= 1.0 + 1e-8:
@@ -114,11 +115,11 @@ def _id_from_factor(R, piv, k):
     return np.asarray(J), U
 
 
-def id_row(B, tol, rank=None):
+def id_row(B, tol):
     """Row interpolatory decomposition B ~= U @ B[J, :].
 
-    The rank is adaptive unless `rank` pins it; `truncate` moves the result
-    to another rank without factoring again.  Only the factorization runs
+    The rank is adaptive; `truncate` moves the result to another rank
+    without factoring again.  Only the factorization runs
     here; the skeleton and coefficients are formed when first read, with
     coefficient entries kept within COEFF_BOUND via the maxvol fallback.
     """
@@ -136,5 +137,4 @@ def id_row(B, tol, rank=None):
         raise np.linalg.LinAlgError(f"dgeqp3 failed with info = {info}")
     piv -= 1
     R = np.triu(qr[: min(B.shape)])
-    return InterpolatoryDecomposition(
-        R, piv, _adaptive_rank(R, tol) if rank is None else rank)
+    return InterpolatoryDecomposition(R, piv, _adaptive_rank(R, tol))

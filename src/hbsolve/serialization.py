@@ -4,8 +4,8 @@ Layout: a 16-byte header (magic "HBS1", u32 N, u32 levels, u32 reserved,
 all little-endian; the reserved field is written as 0 and not read), then
 one record per tree node in node number order.  A record is (u32 node_id,
 u32 role, u32 block_count) followed by the blocks, each as (u32 rows, u32
-cols, row-major float64 data).  The role numbers the node's place; its blocks are hbs.block_layout
-in that order:
+cols, row-major float64 data).  The role names the node's blocks, which
+hbs.block_names lists in record order:
 
     0  dense matrix at a depth-0 root         [D]
     1  leaf of an HBS matrix                  [D, U, V]
@@ -25,22 +25,15 @@ from collections import defaultdict
 
 import numpy as np
 
-from .hbs import HbsMatrix, allocate_stacks, block_errors, block_layout, nonfinite_blocks
+from .hbs import HbsMatrix, allocate_stacks, block_names, block_ranks, nonfinite_blocks
 from .inversion import HbsInverse
 from .tree import tree_with_levels
 
 HBS_MAGIC = b"HBS1"
 _HEADER, _RECORD, _SHAPE = struct.Struct("<4sIII"), struct.Struct("<III"), struct.Struct("<II")
 _IOV_MAX = 1024  # buffers per preadv: Linux's IOV_MAX
-
-
-def _role(levels, tau, inverse):
-    """Role of node tau's record in a file over a depth-`levels` tree."""
-    if inverse:
-        return 10 if tau == 1 else 9
-    if levels == 0:
-        return 0
-    return 3 if tau == 1 else 1 if tau >= 1 << levels else 2
+_ROLES = {("D",): 0, ("D", "U", "V"): 1, ("U", "V", "B12", "B21"): 2, ("B12", "B21"): 3,
+          ("E", "F", "G", "Dhat"): 9, ("G",): 10}  # a record's block names -> its role
 
 
 def _save(path, obj, inverse):
@@ -48,9 +41,9 @@ def _save(path, obj, inverse):
     with open(path, "wb") as f:
         f.write(_HEADER.pack(HBS_MAGIC, tree.n, tree.levels, 0))
         for tau in range(1, tree.node_count + 1):
-            blocks = block_layout(tree.levels, tau, inverse)
-            f.write(_RECORD.pack(tau, _role(tree.levels, tau, inverse), len(blocks)))
-            for name, _ in blocks:
+            names = block_names(tree.levels, tau, inverse)
+            f.write(_RECORD.pack(tau, _ROLES[names], len(names)))
+            for name in names:
                 b = np.ascontiguousarray(getattr(obj, name)[tau], dtype=np.float64)
                 f.write(_SHAPE.pack(*b.shape))
                 f.write(b.tobytes())
@@ -72,7 +65,7 @@ class _Scan:
     read and its byte offset."""
 
     def __init__(self, fd, size):
-        self.fd, self.size, self.at, self.role_names = fd, size, 0, {}
+        self.fd, self.size, self.at = fd, size, 0
 
     def skip(self, nbytes, what, tau=0):
         """Claim the next nbytes, raising if the file ends first."""
@@ -102,15 +95,13 @@ class _Scan:
             raise ValueError(f"record at byte {at} is for node {node}, expected "
                              f"node {tau}: records must follow node order")
         for inverse in kinds:
-            if role == _role(levels, tau, inverse):
+            names = block_names(levels, tau, inverse)
+            if role == _ROLES[names]:
                 break
         else:
-            expected = (str(_role(levels, tau, inverse)) for inverse in kinds)
+            expected = (str(_ROLES[block_names(levels, tau, inverse)]) for inverse in kinds)
             raise ValueError(f"unexpected role {role} at node {tau} (byte {at}), "
                              f"expected {' or '.join(expected)}")
-        names = self.role_names.get(role)
-        if names is None:  # a role fixes the node's place, so its block names
-            names = self.role_names[role] = [name for name, _ in block_layout(levels, tau, inverse)]
         if count != len(names):
             raise ValueError(f"node {tau} (byte {at}): role {role} has "
                              f"{len(names)} blocks, the record says {count}")
@@ -190,13 +181,10 @@ def load(path):
             records.append(names)
         scan.end()
         kind = HbsInverse if inverse else HbsMatrix
-        shapes = {name: shapes[name] for name in kind.NAMES}  # NAMES order: the stacks' sort key
         # the file held a record per node, so the tree is no larger than the file
         tree = tree_with_levels(n, levels)
-        errors = block_errors(tree, shapes, inverse)
-        if errors:
-            raise ValueError(f"inconsistent HBS1 file: {'; '.join(errors[:3])}")
-        out = kind(tree, stacks=allocate_stacks(shapes))
+        ranks = block_ranks(tree, shapes, inverse, "inconsistent HBS1 file")
+        out = kind(tree, stacks=allocate_stacks(tree, ranks, inverse, range(levels + 1)))
         # the file after its header is, record by record, the record's header
         # and each block's shape and data: one read fills every slot
         record, shape, buffers = np.empty(_RECORD.size, np.uint8), np.empty(_SHAPE.size, np.uint8), []

@@ -41,8 +41,9 @@ def random_hbs(rng, n=256, target_leaf=32, max_rank=6):
         k = int(rng.integers(1, min(max_rank, m) + 1))
         ranks[tau] = k
         D[tau] = rng.standard_normal((m, m))
-        U[tau] = rng.standard_normal((m, k))
-        V[tau] = rng.standard_normal((m, k))
+        if tau > 1:  # a depth-0 root is a leaf that holds only D
+            U[tau] = rng.standard_normal((m, k))
+            V[tau] = rng.standard_normal((m, k))
     for level in range(tree.levels - 1, 0, -1):
         for tau in tree.nodes_at_level(level):
             rows = ranks[2 * tau] + ranks[2 * tau + 1]

@@ -137,7 +137,7 @@ def test_proxy_compress_factors_each_side_once(monkeypatch):
     calls = []
     id_row = compression.id_row
     monkeypatch.setattr(compression, "id_row",
-                        lambda B, tol, rank=None: calls.append(B.shape) or id_row(B, tol, rank))
+                        lambda B, tol: calls.append(B.shape) or id_row(B, tol))
     Ah, _ = compress(star_grid(64, 10), CompressionConfig(mode="proxy"))
     assert len(calls) == 2 * (Ah.tree.node_count - 1)
 
@@ -151,8 +151,8 @@ def test_proxy_compress_forms_each_id_once(monkeypatch):
     ranks, formed = [], []
     id_row, form = compression.id_row, lowrank._id_from_factor
 
-    def recording_id_row(B, tol, rank=None):
-        dec = id_row(B, tol, rank)
+    def recording_id_row(B, tol):
+        dec = id_row(B, tol)
         ranks.append(dec.rank)
         return dec
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import hbsolve as hb
-from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis
+from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis, allocate_stacks
+from hbsolve.inversion import HbsInverse
 from hbsolve.serialization import load, save_hbs, save_inverse
 from conftest import (
     BLOCK_WIDTHS,
@@ -94,9 +97,8 @@ def test_expand_matches_dense():
         assert err <= 10 * 1e-10 * np.linalg.norm(A_dense)
 
 
-def test_expand_guard():
-    tree = hb.build_tree(EXPAND_DENSE_GUARD + 1, 64)
-    A = hb.HbsMatrix(tree=tree, D={}, U={}, V={}, B12={}, B21={})
+def test_expand_guard(rng):
+    A = block_diagonal_hbs(rng, n=EXPAND_DENSE_GUARD + 1, target_leaf=64)
     with pytest.raises(ValueError, match="oracle"):
         hb.expand_dense(A)
 
@@ -158,9 +160,48 @@ def test_each_block_is_stored_once(tmp_path, smooth_star_600):
         back.G[tau] = back.G[tau].copy()
     with pytest.raises(TypeError, match=f"node {tau}"):
         del back.G[tau]
+    with pytest.raises(TypeError, match="node 1000000"):
+        A.U[10**6] = None  # no such node: its missing view is not this None
     back.G[tau] += 1.0  # an in-place edit reaches the stack
     assert np.array_equal(back.G[tau], inv.G[tau] + 1.0)
     assert any(np.shares_memory(back.G[tau], S) for _, S in back.stacks["G"][back.tree.levels])
+
+
+def stack_layout(stacks):
+    """{name: {level: [(nodes, block shape), ...]}} of an object's stacks."""
+    return {name: {level: [(list(nodes), S.shape[1:]) for nodes, S in buckets]
+                   for level, buckets in levels.items()}
+            for name, levels in stacks.items() if levels}
+
+
+def test_every_producer_allocates_stacks_from_the_ranks(tmp_path, rng, smooth_star_600,
+                                                        corner_star_8000):
+    # whatever built an object, its stacks are those allocate_stacks gives for
+    # its tree and ranks, and each leaf DIAG stack (D or G) covers a run of
+    # consecutive UP stacks (V or F), as _Route relies on
+    grid, A, inv = smooth_star_600
+    objects = [A, inv, corner_star_8000[1], corner_star_8000[2],
+               hb.compress(grid, hb.CompressionConfig(mode="dense"))[0],
+               hb.hbs_transpose(A), hb.inverse_transpose(inv),
+               hb.inverse_to_hbs(inv), hb.reformat_orthonormal(A),
+               random_hbs(rng), depth_zero_hbs(rng)]  # the last two from dicts
+    save_hbs(tmp_path / "a.hbs", A)
+    save_inverse(tmp_path / "i.hbs", inv)
+    objects += [load(tmp_path / "a.hbs"), load(tmp_path / "i.hbs")]
+    for obj in objects:
+        inverse, tree = isinstance(obj, HbsInverse), obj.tree
+        ranks = ({tau: obj.Dhat[tau].shape[0] for tau in obj.Dhat} if inverse
+                 else {tau: obj.rank_of(tau) for tau in obj.U})
+        expected = allocate_stacks(tree, ranks, inverse, range(tree.levels + 1))
+        assert stack_layout(obj.stacks) == stack_layout(expected)
+        up = [list(nodes) for nodes, _ in obj.stacks[obj.UP].get(tree.levels, [])]
+        at = 0
+        for nodes, _ in obj.stacks[obj.DIAG][tree.levels] if tree.levels else []:
+            run = []
+            while len(run) < len(nodes):
+                run, at = run + up[at], at + 1
+            assert run == list(nodes)
+        assert at == len(up)
 
 
 def test_storage_is_data_sparse():
@@ -182,11 +223,13 @@ def test_validate_well_formed(rng):
 
 
 def test_validate_detects_defects(rng):
+    # a misshapen block is refused when the matrix is built; validate audits
+    # the entries
     A = random_hbs(rng)
-    k = A.U[2].shape[1]
-    A = with_blocks(A, U={**A.U, 2: np.zeros((A.U[2].shape[0] + 1, k))})  # wrong row count
-    issues = hb.validate(A)
-    assert any("node 2" in s or "parent 2" in s for s in issues)
+    rows, k = A.U[2].shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"node 2: U shape ({rows + 1}, {k}), expected ({rows}, {k})")):
+        with_blocks(A, U={**A.U, 2: np.zeros((rows + 1, k))})  # wrong row count
 
     B = random_hbs(rng)
     B.D[B.tree.node_count][0, 0] = np.nan
@@ -194,25 +237,28 @@ def test_validate_detects_defects(rng):
 
     C = random_hbs(rng)
     wider = np.hstack([C.V[3], C.V[3][:, :1]])  # non-leaf V one column wider
-    C = with_blocks(C, V={**C.V, 3: wider})
-    assert f"node 3: V shape {C.V[3].shape}, expected {C.U[3].shape}" in " ".join(hb.validate(C))
+    with pytest.raises(ValueError, match=re.escape(
+            f"node 3: V shape {wider.shape}, expected {C.U[3].shape}")):
+        with_blocks(C, V={**C.V, 3: wider})
 
 
 def test_validate_reports_missing_and_extra_blocks(rng):
+    # missing and extra blocks are refused when the matrix is built
     A = random_hbs(rng)
     leaf = A.tree.node_count
     V = dict(A.V)
     del V[leaf]
-    A = with_blocks(A, V=V,
+    with pytest.raises(ValueError, match="malformed HBS matrix") as err:
+        with_blocks(A, V=V,
                     U={**A.U, 1: np.eye(2)},  # the root carries no basis
                     D={**A.D, 2 * leaf: np.eye(2)})  # nor does a node outside the tree
-    issues = hb.validate(A)
+    issues = str(err.value).split(": ", 1)[1].split("; ")
     for issue in (f"node {leaf}: missing V", "node 1: unexpected U",
                   f"node {2 * leaf}: unexpected D"):
         assert issue in issues
     B = depth_zero_hbs(rng)
-    B = with_blocks(B, B12={**B.B12, 1: np.eye(1)})
-    assert hb.validate(B) == ["node 1: unexpected B12"]
+    with pytest.raises(ValueError, match="^malformed HBS matrix: node 1: unexpected B12$"):
+        with_blocks(B, B12={**B.B12, 1: np.eye(1)})
 
 
 def test_validate_checks_interpolatory_identity():

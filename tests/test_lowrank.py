@@ -76,8 +76,8 @@ def test_coefficient_bound():
 def test_pinned_rank():
     rng = np.random.default_rng(6)
     B = low_rank_matrix(rng, 30, 30, 5)
-    assert id_row(B, 1e-10, rank=9).rank == 9
-    assert id_row(B, 1e-10, rank=0).rank == 0
+    assert id_row(B, 1e-10).truncate(9).rank == 9
+    assert id_row(B, 1e-10).truncate(0).rank == 0
 
 
 def test_empty_and_invalid_inputs():
@@ -99,7 +99,7 @@ def kahan(n, c=0.285):
 def assert_same_as_scipy_qr(B, tol, rank=None):
     """id_row runs LAPACK's CPQR itself; R, pivots, rank, skeleton and
     coefficients must be bit-identical to those from scipy.linalg.qr."""
-    dec = id_row(B, tol, rank)
+    dec = id_row(B, tol) if rank is None else id_row(B, tol).truncate(rank)
     R, piv = scipy.linalg.qr(B.T, pivoting=True, mode="r", check_finite=False)
     R = R[: min(B.shape)]
     if rank is None:
@@ -134,7 +134,7 @@ def test_truncate_matches_pinned_rank():
     dec = id_row(B, 1e-6)
     assert 0 < dec.rank < 50
     for k in (0, 1, dec.rank - 1, dec.rank, dec.rank + 3, 50, 80):
-        cut, fresh = dec.truncate(k), id_row(B, 1e-6, rank=k)
+        cut, fresh = dec.truncate(k), id_row(B, 1e-6).truncate(k)
         assert cut.rank == min(k, 50)
         assert np.array_equal(cut.skeleton, fresh.skeleton)
         assert np.array_equal(cut.coeffs, fresh.coeffs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hbsolve as hb
-from hbsolve.hbs import block_layout
+from hbsolve.hbs import block_names
 from hbsolve.inversion import apply_inverse, hbs_invert
 from hbsolve.serialization import HBS_MAGIC, _read_into, load, save_hbs, save_inverse
 from conftest import depth_zero_hbs, random_hbs
@@ -97,7 +97,7 @@ def test_header_records_shape(tmp_path, rng):
 def test_record_blocks_keep_their_order():
     # each role's blocks in the order HBS1 files store them (module docstring)
     def names(levels, tau, inverse=False):
-        return [name for name, _ in block_layout(levels, tau, inverse)]
+        return list(block_names(levels, tau, inverse))
 
     assert names(0, 1) == ["D"]
     assert names(2, 4) == names(2, 7) == ["D", "U", "V"]
