@@ -76,11 +76,12 @@ class Blocks(Mapping):
 
 
 def block_names(levels, tau, inverse):
-    """Names of node tau's blocks, in HBS1 record order, in a depth-`levels`
-    HBS matrix or, if `inverse`, its factored inverse.  In a matrix a leaf
-    holds D, a non-root node U and V, and a parent B12 and B21; a depth-0
-    root is a leaf and holds only D.  In an inverse a non-root node holds E,
-    F, G and Dhat, and the root G."""
+    """Names of node tau's blocks in a depth-`levels` HBS matrix or, if
+    `inverse`, its factored inverse, in the order that fixes the stacks'
+    order within a level (allocate_stacks, and so an HBS2 file's).  In a
+    matrix a leaf holds D, a non-root node U and V, and a parent B12 and
+    B21; a depth-0 root is a leaf and holds only D.  In an inverse a
+    non-root node holds E, F, G and Dhat, and the root G."""
     if inverse:
         return ("G",) if tau == 1 else ("E", "F", "G", "Dhat")
     leaf = ("D",) if tau >> levels else ()
@@ -95,8 +96,8 @@ def block_layout(tree, ranks, tau, inverse):
     0).  With n the node's size at a leaf and its children's stacked ranks
     k1 + k2 at a parent, and k its rank: D and G are n x n, U, V, E and F
     n x k, Dhat k x k, B12 k1 x k2 and B21 k2 x k1.  This table is the one
-    source of every block's shape: the stacks, the checks and HBS1 records
-    follow it."""
+    source of every block's shape: the stacks, the checks and an HBS2 file's
+    length follow it."""
     leaf = tau >> tree.levels
     if leaf:
         start, stop = tree.ranges[tau]
@@ -114,20 +115,18 @@ def block_layout(tree, ranks, tau, inverse):
     return (("U", (n, k)), ("V", (n, k))) + pair if tau > 1 else pair
 
 
-def block_ranks(tree, shapes, inverse, what):
-    """The per-node ranks of blocks of the given shapes ({name: {node: (rows,
-    cols)}}) of an HBS matrix over `tree` (its U's column counts) or, if
-    `inverse`, of its factored inverse (its Dhat's orders).
+def block_ranks(tree, shapes):
+    """The per-node ranks (U's column counts) of an HBS matrix over `tree`
+    whose blocks have the given shapes ({name: {node: (rows, cols)}}).
 
-    Raises ValueError, `what` followed by up to three of the missing, extra
-    and misshapen blocks against block_layout for those ranks.  Nodes are
-    checked fine to coarse, so a block that misstates its node's rank is
-    reported before the parent's blocks that the wrong rank then misfits."""
-    axis = 0 if inverse else 1
-    ranks = {tau: s[axis] for tau, s in shapes.get("Dhat" if inverse else "U", {}).items()}
+    Raises ValueError naming up to three of the missing, extra and misshapen
+    blocks against block_layout for those ranks.  Nodes are checked fine to
+    coarse, so a block that misstates its node's rank is reported before the
+    parent's blocks that the wrong rank then misfits."""
+    ranks = {tau: s[1] for tau, s in shapes.get("U", {}).items()}
     errors, found = [], 0
     for tau in range(tree.node_count, 0, -1):
-        for name, shape in block_layout(tree, ranks, tau, inverse):
+        for name, shape in block_layout(tree, ranks, tau, False):
             got = shapes.get(name, {}).get(tau)
             if got is None:
                 errors.append(f"node {tau}: missing {name}")
@@ -138,9 +137,9 @@ def block_ranks(tree, shapes, inverse, what):
     if sum(map(len, shapes.values())) > found:  # a block that no node's layout names
         errors += [f"node {tau}: unexpected {name}" for name, of in shapes.items()
                    for tau in of if tau not in range(1, tree.node_count + 1)
-                   or name not in block_names(tree.levels, tau, inverse)]
+                   or name not in block_names(tree.levels, tau, False)]
     if errors:
-        raise ValueError(f"{what}: {'; '.join(errors[:3])}")
+        raise ValueError(f"malformed HBS matrix: {'; '.join(errors[:3])}")
     return ranks
 
 
@@ -152,9 +151,11 @@ def allocate_stacks(tree, ranks, inverse, levels):
     Returns {name: {level: [(nodes, stack), ...]}}, each stack one
     (len(nodes), rows, cols) array, all of them views of one buffer (which
     numpy backs with huge pages when it is large, so filling it faults few
-    pages).  A level's nodes are sorted by their blocks' shapes, in record
-    order, then by number; every stack lists its nodes in that order, and a
-    name's stacks follow the order of their first nodes.  So the stacks of a
+    pages).  The buffer holds the levels in the order given, each level's
+    names in block_names order, and each name's stacks in turn.  A level's
+    nodes are sorted by their blocks' shapes, in block_names order, then by
+    number; every stack lists its nodes in that order, and a name's stacks
+    follow the order of their first nodes.  So the stacks of a
     name whose shape is fixed by a prefix of that key (a leaf's D and an
     inverse's G, by the node's size) each cover a run of consecutive stacks
     of the finer names (its U and V, or E and F, by size and rank).
@@ -199,7 +200,7 @@ def stack_blocks(tree, blocks):
     given as {name: {node: block}}; missing, extra and misshapen blocks
     raise ValueError (block_ranks)."""
     shapes = {name: {tau: np.shape(b) for tau, b in of.items()} for name, of in blocks.items()}
-    ranks = block_ranks(tree, shapes, False, "malformed HBS matrix")
+    ranks = block_ranks(tree, shapes)
     stacks = allocate_stacks(tree, ranks, False, range(tree.levels + 1))
     for name, views in block_views(stacks).items():
         for tau, slot in views.items():

@@ -1,10 +1,14 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
 
 import hbsolve as hb
 from hbsolve.hbs import block_names
 from hbsolve.inversion import apply_inverse, hbs_invert
-from hbsolve.serialization import HBS_MAGIC, _read_into, load, save_hbs, save_inverse
+from hbsolve import serialization
+from hbsolve.serialization import HBS_MAGIC, load, save_hbs, save_inverse
 from conftest import depth_zero_hbs, random_hbs
 
 
@@ -28,11 +32,13 @@ def test_loaded_matrix_acts_identically(tmp_path, rng, smooth_star_600):
     path = tmp_path / "a.hbs"
     save_hbs(path, A)
     back = load(path)
-    q = rng.standard_normal(A.tree.n)
-    ref = hb.hbs_matvec(A, q)
-    # blocks are bit-exact but BLAS may pick a different code path for the
-    # reloaded buffers, so compare numerically, not bitwise
-    assert np.linalg.norm(hb.hbs_matvec(back, q) - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the loaded stacks have the compressed matrix's layout, one buffer for
+    # all levels in place of one per level, so every product is the same
+    q = rng.standard_normal((A.tree.n, 3))
+    assert np.array_equal(hb.hbs_matvec(back, q), hb.hbs_matvec(A, q))
+    assert np.array_equal(hb.hbs_matvec(back, q[:, 0]), hb.hbs_matvec(A, q[:, 0]))
+    save_hbs(tmp_path / "b.hbs", back)
+    assert (tmp_path / "b.hbs").read_bytes() == path.read_bytes()
 
 
 def test_inverse_roundtrip(tmp_path, rng, smooth_star_600):
@@ -44,8 +50,7 @@ def test_inverse_roundtrip(tmp_path, rng, smooth_star_600):
     save_inverse(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     u = rng.standard_normal(A.tree.n)
-    ref = apply_inverse(inv, u)
-    assert np.linalg.norm(apply_inverse(back, u) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(apply_inverse(back, u), apply_inverse(inv, u))
 
 
 def test_depth_zero_roundtrips(tmp_path, rng):
@@ -64,38 +69,41 @@ def test_depth_zero_roundtrips(tmp_path, rng):
     assert np.array_equal(backi.G[1], inv.G[1])
 
 
-def test_bad_magic(tmp_path):
+def test_bad_magic(tmp_path, saved_pair):
     path = tmp_path / "junk.hbs"
     path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ValueError, match="bad magic b'NOPE'"):
         load(path)
+    # the older per-record format is refused by name, not misread
+    for data in saved_pair:
+        with pytest.raises(ValueError, match="HBS1 files are no longer read"):
+            load_bytes(tmp_path, b"HBS1" + data[4:])
 
 
-def test_corrupt_role(tmp_path, rng):
-    A = random_hbs(rng, n=64, target_leaf=32)
-    path = tmp_path / "a.hbs"
-    save_hbs(path, A)
-    data = bytearray(path.read_bytes())
-    # header is 16 bytes; the role field of the first record is bytes 20:24
-    data[20:24] = (77).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="role"):
-        load(path)
+def test_corrupt_kind(tmp_path, saved_pair):
+    for kind in (2, 77, 2**32 - 1):
+        bad = bytearray(saved_pair[0])
+        bad[4:8] = kind.to_bytes(4, "little")
+        with pytest.raises(ValueError, match=f"kind {kind}, expected 0 .* or 1"):
+            load_bytes(tmp_path, bad)
 
 
 def test_header_records_shape(tmp_path, rng):
     A = random_hbs(rng, n=100, target_leaf=30)
     path = tmp_path / "a.hbs"
     save_hbs(path, A)
-    import struct
-
-    magic, n, levels, reserved = struct.unpack("<4sIII", path.read_bytes()[:16])
-    assert magic == HBS_MAGIC
-    assert (n, levels, reserved) == (100, A.tree.levels, 0)
+    data = path.read_bytes()
+    magic, kind, n, levels = struct.unpack("<4sIII", data[:16])
+    assert magic == HBS_MAGIC == b"HBS2"
+    assert (kind, n, levels) == (0, 100, A.tree.levels)
+    ranks = np.frombuffer(data, "<u4", A.tree.node_count - 1, 16)
+    assert list(ranks) == [A.rank_of(tau) for tau in range(2, A.tree.node_count + 1)]
+    assert len(data) == data_offset(data) + 8 * A.storage_count()
 
 
 def test_record_blocks_keep_their_order():
-    # each role's blocks in the order HBS1 files store them (module docstring)
+    # each node's blocks in block_names order, which fixes the order of a
+    # level's stacks and so of an HBS2 file's data (module docstring)
     def names(levels, tau, inverse=False):
         return list(block_names(levels, tau, inverse))
 
@@ -110,20 +118,11 @@ def test_record_blocks_keep_their_order():
 # -- malformed files ----------------------------------------------------------
 
 
-def record_layout(data):
-    """(offset, node, [offset of each block's shape]) for every record."""
-    import struct
-
-    out, at = [], 16
-    while at < len(data):
-        node, _, count = struct.unpack_from("<III", data, at)
-        start, at, shapes = at, at + 12, []
-        for _ in range(count):
-            rows, cols = struct.unpack_from("<II", data, at)
-            shapes.append(at)
-            at += 8 + 8 * rows * cols
-        out.append((start, node, shapes))
-    return out
+def data_offset(data):
+    """Where the float64 data of the HBS2 file `data` starts: after the
+    16-byte header and a u32 rank for each of nodes 2 ... 2^(levels+1) - 1."""
+    levels = struct.unpack_from("<I", data, 12)[0]
+    return 16 + 4 * ((2 << levels) - 2)
 
 
 @pytest.fixture
@@ -144,60 +143,44 @@ def load_bytes(tmp_path, data):
     return load(path)
 
 
-def test_truncation_names_node_and_offset(tmp_path, saved_pair):
+def test_truncation_names_section_and_offset(tmp_path, saved_pair):
     for data in saved_pair:
-        layout = record_layout(data)
-        start, node, shapes = layout[len(layout) // 2]
-        cuts = {10: None, 16 + 5: 1, start + 3: node, shapes[-1] + 4: node,
-                shapes[-1] + 20: node, len(data) - 1: layout[-1][1]}
-        for cut, node in cuts.items():
-            with pytest.raises(ValueError, match="truncated") as err:
+        at = data_offset(data)
+        cuts = {0: "header at byte 0: 16 bytes expected, 0 left",
+                10: "header at byte 0: 16 bytes expected, 10 left",
+                16 + 5: f"ranks at byte 16: {at - 16} bytes expected, 5 left",
+                at: f"data for the stated ranks at byte {at}: {len(data) - at} bytes expected, 0 left",
+                len(data) - 1: f"data for the stated ranks at byte {at}: {len(data) - at} bytes "
+                               f"expected, {len(data) - at - 1} left"}
+        for cut, message in cuts.items():
+            with pytest.raises(ValueError, match="truncated HBS2 file") as err:
                 load_bytes(tmp_path, data[:cut])
-            assert "at byte" in str(err.value)
-            if node is not None:
-                assert f"of node {node} " in str(err.value)
+            assert message in str(err.value)
 
 
 def test_trailing_byte_is_rejected(tmp_path, saved_pair):
     for data in saved_pair:
-        with pytest.raises(ValueError, match="1 trailing bytes"):
+        with pytest.raises(ValueError, match=f"1 trailing bytes .* at byte {len(data)}"):
             load_bytes(tmp_path, data + b"\0")
 
 
-def test_records_out_of_order_are_rejected(tmp_path, saved_pair):
+def test_bad_block_shape_is_rejected(tmp_path, saved_pair, monkeypatch):
+    # the ranks fix every block's shape: a corrupted rank misstates the
+    # blocks' length, and load refuses it before it allocates any stack
+    def no_allocation(*args):
+        raise AssertionError("stacks allocated for a corrupted rank")
+
+    monkeypatch.setattr(serialization, "allocate_stacks", no_allocation)
     for data in saved_pair:
-        layout = record_layout(data)
-        (a, _, _), (b, _, _), (c, _, _) = layout[1:4]  # nodes 2, 3, 4
-        swapped = data[:a] + data[b:c] + data[a:b] + data[c:]
-        with pytest.raises(ValueError, match="expected node 2"):
-            load_bytes(tmp_path, swapped)
-
-
-def test_bad_block_shape_is_rejected(tmp_path, rng, smooth_star_600):
-    # in the first record of each role, its first block is re-declared as one
-    # row (or one column) of the same entries: the stream stays aligned, only
-    # the shape is wrong
-    _, A, inv = smooth_star_600
-    files = []
-    for save, obj in ((save_hbs, A), (save_inverse, inv), (save_hbs, depth_zero_hbs(rng))):
-        save(tmp_path / "a.hbs", obj)
-        files.append((tmp_path / "a.hbs").read_bytes())
-    roles = {}
-    for data in files:
-        for start, node, shapes in record_layout(data):
-            role = int.from_bytes(data[start + 4 : start + 8], "little")
-            if role in roles:
-                continue
-            roles[role] = node
-            at = shapes[0]
-            rows, cols = np.frombuffer(data, "<u4", 2, at)
-            assert rows * cols > 1
-            bad = bytearray(data)
-            bad[at : at + 8] = np.array([1, rows * cols] if rows > 1 else [rows * cols, 1],
-                                        "<u4").tobytes()
-            with pytest.raises(ValueError, match=f"(node|leaf|parent) {node}: "):
-                load_bytes(tmp_path, bad)
-    assert sorted(roles) == [0, 1, 2, 3, 9, 10]
+        for node in (2, 5):  # a parent and a leaf
+            at = 16 + 4 * (node - 2)
+            rank = int.from_bytes(data[at:at + 4], "little")
+            for bad_rank, message in ((rank + 1, "truncated"), (rank - 1, "trailing bytes"),
+                                      (2**32 - 1, "truncated")):
+                bad = bytearray(data)
+                bad[at:at + 4] = bad_rank.to_bytes(4, "little")
+                with pytest.raises(ValueError, match=f"{message} .*ranks"):
+                    load_bytes(tmp_path, bad)
 
 
 def test_resave_is_byte_identical_at_every_depth(tmp_path, rng):
@@ -206,34 +189,48 @@ def test_resave_is_byte_identical_at_every_depth(tmp_path, rng):
         assert A.tree.levels == levels
         for tau in A.D:
             A.D[tau] += 10 * np.eye(A.D[tau].shape[0])
-        for save, obj in ((save_hbs, A), (save_inverse, hbs_invert(A))):
+        inv = hbs_invert(A)
+        q = rng.standard_normal((A.tree.n, 2))
+        # the transposes' stacks are transposed views of their own
+        for save, obj in ((save_hbs, A), (save_inverse, inv), (save_hbs, hb.hbs_transpose(A)),
+                          (save_inverse, hb.inverse_transpose(inv))):
             p1, p2 = tmp_path / "1.hbs", tmp_path / "2.hbs"
             save(p1, obj)
-            save(p2, load(p1))
+            back = load(p1)
+            save(p2, back)
             assert p1.read_bytes() == p2.read_bytes(), (levels, save.__name__)
+            for name in obj.NAMES:
+                saved, loaded = getattr(obj, name), getattr(back, name)
+                assert saved.keys() == loaded.keys()
+                assert all(np.array_equal(saved[tau], loaded[tau]) for tau in saved)
+            apply = apply_inverse if save is save_inverse else hb.hbs_matvec
+            ref = apply(obj, q)
+            if obj in (A, inv):
+                assert np.array_equal(apply(back, q), ref)
+            else:  # BLAS takes another path for a transposed view's stack
+                assert np.linalg.norm(apply(back, q) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_bad_block_count_and_non_finite_matrix(tmp_path, saved_pair):
+def test_non_finite_matrix_names_the_node(tmp_path, saved_pair):
+    # a matrix load scans every entry; the data starts with the root's B12
     data = saved_pair[0]
-    start, node, shapes = record_layout(data)[-1]
+    at = data_offset(data)
     bad = bytearray(data)
-    bad[start + 8 : start + 12] = (4).to_bytes(4, "little")
-    with pytest.raises(ValueError, match="3 blocks, the record says 4"):
+    bad[at:at + 8] = np.array([np.nan]).tobytes()
+    with pytest.raises(ValueError, match="node 1: non-finite entries in B12"):
         load_bytes(tmp_path, bad)
-    # a matrix load runs validate, so a NaN entry is caught
     bad = bytearray(data)
-    bad[shapes[0] + 8 : shapes[0] + 16] = np.array([np.nan]).tobytes()
-    with pytest.raises(ValueError, match="non-finite"):
+    bad[-8:] = np.array([-np.inf]).tobytes()  # the last leaf stack's V
+    with pytest.raises(ValueError, match=r"node \d+: non-finite entries in V"):
         load_bytes(tmp_path, bad)
 
 
 def test_non_finite_inverse_loads_but_does_not_solve(tmp_path, saved_pair):
     # load scans no inverse entry; apply_inverse rejects what a NaN makes
     data = saved_pair[1]
-    _, node, shapes = record_layout(data)[0]
-    assert node == 1
+    at = data_offset(data)
     bad = bytearray(data)
-    bad[shapes[0] + 8 : shapes[0] + 16] = np.array([np.nan]).tobytes()  # root G
+    bad[at:at + 8] = np.array([np.nan]).tobytes()  # root G, the data's first block
     inv = load_bytes(tmp_path, bad)
     assert np.isnan(inv.G[1][0, 0])
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
@@ -241,32 +238,64 @@ def test_non_finite_inverse_loads_but_does_not_solve(tmp_path, saved_pair):
 
 
 def test_header_depth_must_fit_n(tmp_path, saved_pair):
+    # a depth of 2^32 - 1 would be a tree of 2^(2^32) nodes: the header is
+    # refused before any rank is read
     bad = bytearray(saved_pair[1])
-    bad[8:12] = (2**32 - 1).to_bytes(4, "little")  # levels
-    with pytest.raises(ValueError, match="cannot fill"):
+    bad[12:16] = (2**32 - 1).to_bytes(4, "little")  # levels
+    with pytest.raises(ValueError, match="N = 100 cannot fill"):
         load_bytes(tmp_path, bad)
 
 
-def test_block_reads_resume_and_stop_at_the_end_of_the_file(tmp_path, monkeypatch):
-    # load reads the blocks after checking the headers: a short read resumes
-    # inside the buffer it left part filled, and a file cut short in between
-    # raises instead of leaving a slot unfilled
-    import os
+def test_block_reads_resume_and_stop_at_the_end_of_the_file(tmp_path, saved_pair, monkeypatch):
+    # load fills its arrays with as many reads as the file takes: a read that
+    # gives fewer bytes than asked for is resumed, and a file that ends early
+    # (it changed after its size was taken) raises instead of leaving a slot
+    # unfilled
+    class Trickle:
+        """A file whose reads give at most 3 bytes, and none past `stop`."""
 
-    path = tmp_path / "twenty.bin"
-    path.write_bytes(bytes(range(20)))
-    preadv = os.preadv
+        def __init__(self, path, stop):
+            self.f, self.stop = open(path, "rb", buffering=0), stop
 
-    def at_most_3_bytes(fd, buffers, at):
-        return preadv(fd, [buffers[0].reshape(-1).view(np.uint8)[:3]], at)
+        def __enter__(self):
+            return self
 
-    with open(path, "rb") as f:
-        blocks = [np.zeros(8, np.uint8), np.zeros(0, np.uint8), np.zeros(12, np.uint8)]
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def fileno(self):
+            return self.f.fileno()
+
+        def readinto(self, b):
+            n = min(3, len(b), self.stop - self.f.tell())
+            return self.f.readinto(b[:n]) if n > 0 else 0
+
+    data = saved_pair[0]
+    path = tmp_path / "a.hbs"
+    path.write_bytes(data)
+    reference = load(path)
+    for stop, ok in ((len(data), True), (len(data) - 5, False), (data_offset(data) + 1, False)):
         with monkeypatch.context() as m:
-            m.setattr(os, "preadv", at_most_3_bytes)
-            _read_into(f.fileno(), blocks, 0, 20)
-        assert list(np.concatenate(blocks)) == list(range(20))
-        first, second = np.zeros(4, np.uint8), np.zeros(12, np.uint8)
-        with pytest.raises(ValueError, match="ended at byte 20"):
-            _read_into(f.fileno(), [first, second], 8, 24)
-    assert list(first) == [8, 9, 10, 11] and list(second[:8]) == list(range(12, 20))
+            m.setattr(serialization, "open", lambda p, *a, **k: Trickle(p, stop), raising=False)
+            if ok:
+                back = load(path)
+                for name in back.NAMES:
+                    blocks = getattr(back, name)
+                    assert all(np.array_equal(blocks[tau], getattr(reference, name)[tau])
+                               for tau in blocks)
+            else:
+                with pytest.raises(ValueError, match="ended early"):
+                    load(path)
+
+
+def test_big_endian_host_is_refused(tmp_path, saved_pair, monkeypatch):
+    # HBS2 is little-endian and stacks are written and read in native order
+    path = tmp_path / "a.hbs"
+    path.write_bytes(saved_pair[0])
+    A = load(path)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    with pytest.raises(ValueError, match="little-endian: a big-endian host is refused"):
+        load(path)
+    with pytest.raises(ValueError, match="little-endian"):
+        save_hbs(tmp_path / "b.hbs", A)
+    assert not (tmp_path / "b.hbs").exists()
