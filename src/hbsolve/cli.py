@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -67,7 +66,7 @@ def build_parser():
     p = sub.add_parser("discretize", help="geometry spec JSON -> quadrature grid CSV")
     p.add_argument("spec", help="geometry spec JSON file")
     p.add_argument("-o", "--output", default="grid.csv", help="output grid CSV")
-    p.add_argument("--nodes-per-panel", type=int, default=10)
+    p.add_argument("--nodes-per-panel", type=_positive_int, default=10)
     p.add_argument("--corner-levels", type=int, default=None,
                    help="override the spec's corner refinement level count")
     p.set_defaults(func=cmd_discretize)
@@ -94,7 +93,7 @@ def build_parser():
     p.add_argument("--sizes", default="10000,20000,40000",
                    help="comma-separated target N values")
     p.add_argument("-o", "--output", default="benchmark.csv")
-    p.add_argument("--nodes-per-panel", type=int, default=10)
+    p.add_argument("--nodes-per-panel", type=_positive_int, default=10)
     p.add_argument("--corner-levels", type=int, default=None,
                    help="corner refinement levels (default 5 for cornered shapes)")
     _add_solver_flags(p)
@@ -181,24 +180,18 @@ def cmd_solve(args):
 
 
 def _benchmark_setup(geometry, n_target, nodes_per_panel, corner_levels):
-    """Pick a panelling whose node count lands near the requested N."""
+    """Pick the base panel count whose node count lands nearest the requested N.
+
+    ``decompose``'s panel count is linear in the base from 2 upward, so two
+    decompositions give the line to solve.
+    """
     from . import geometry as geo
 
-    per_panel = nodes_per_panel
-    panels_needed = max(2, math.ceil(n_target / per_panel))
-    if geometry == "smooth_star":
-        contour = geo.SmoothStar()
-        return contour, panels_needed, 0
-    levels = 5 if corner_levels is None else corner_levels
-    if geometry == "corner_star":
-        contour = geo.CornerStar()
-        seg = contour.segments
-        base = max(1, round((panels_needed - 2 * levels * seg) / seg))
-        return contour, base, levels
-    contour = geo.Snake()
-    graded_extra = 2 * 4 * levels  # 4 corners, grading on both sides
-    base = max(1, round((panels_needed - 8 - graded_extra) / (2 * contour.waves)))
-    return contour, base, levels
+    contour = geo.make_contour(geometry)
+    levels = (5 if corner_levels is None else corner_levels) if contour.cornered else 0
+    at2, at3 = (geo.decompose(contour, b, levels).count for b in (2, 3))
+    base = 2 + round((n_target / nodes_per_panel - at2) / (at3 - at2))
+    return contour, max(1, base), levels
 
 
 def cmd_benchmark(args):
@@ -207,11 +200,11 @@ def cmd_benchmark(args):
     from .compression import DENSE_MODE_GUARD, solve_workflow
 
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise ValueError(f"bad --sizes value {args.sizes!r}")
+        sizes = [_positive_int(s) for s in args.sizes.split(",") if s.strip()]
+    except (ValueError, argparse.ArgumentTypeError):
+        sizes = []
     if not sizes:
-        raise ValueError("--sizes is empty")
+        raise ValueError(f"--sizes needs comma-separated positive integers, got {args.sizes!r}")
 
     rows = []
     for n_target in sizes:

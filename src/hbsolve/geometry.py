@@ -7,14 +7,17 @@ contour is a simple closed curve traversed counterclockwise, exposing
 position, first/second derivative, outward unit normal, speed and signed
 curvature as vectorized callables of the parameter t in [0, T).
 
-Corners are always panel endpoints, so quadrature nodes (which are
+A family implements two methods: ``_curve``, which returns the position
+and both derivatives at once, and ``sections``, which splits [0, T) into
+panelling sections.  A cornered contour has a corner at every section end,
+so corners are always panel endpoints and quadrature nodes (which are
 interior to panels) never hit a tangent discontinuity.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +27,26 @@ MIN_PANEL_LENGTH = 1e-12
 class Contour:
     """Base class for closed parametric curves.
 
-    Subclasses implement ``position``, ``derivative`` and
-    ``second_derivative`` as vectorized functions of the parameter.
+    Subclasses implement ``_curve(t)``, returning the position, the first
+    and the second derivative as ``(..., 2)`` arrays, and ``sections``.  A
+    ``cornered`` contour has a corner at every section end.
     """
 
     kind: str = "abstract"
     period: float = 0.0
-    corner_locations: np.ndarray = np.zeros(0)
+    cornered: bool = False
+
+    def _curve(self, t):
+        raise NotImplementedError
 
     def position(self, t):
-        raise NotImplementedError
+        return self._curve(np.asarray(t, float))[0]
 
     def derivative(self, t):
-        raise NotImplementedError
+        return self._curve(np.asarray(t, float))[1]
 
     def second_derivative(self, t):
-        raise NotImplementedError
+        return self._curve(np.asarray(t, float))[2]
 
     def speed(self, t):
         d = self.derivative(t)
@@ -53,18 +60,23 @@ class Contour:
 
     def curvature(self, t):
         """Signed curvature; positive where the curve bends like a CCW circle."""
-        d = self.derivative(t)
-        dd = self.second_derivative(t)
+        _, d, dd = self._curve(np.asarray(t, float))
         s = np.hypot(d[..., 0], d[..., 1])
         return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
+
+    @property
+    def corner_locations(self):
+        """Parameters of the corners: the section starts of a cornered contour."""
+        if not self.cornered:
+            return np.zeros(0)
+        return np.array([a for a, _, _ in self.sections(1)], dtype=float)
 
     def sections(self, base_panels_per_unit):
         """Panelling sections as (a, b, panel_count) triples covering [0, T).
 
-        Section endpoints include every corner.  ``base_panels_per_unit`` is
-        interpreted per family: total panels for the smooth closed curves,
-        panels per arc segment for the corner star, panels per wavelength
-        for the snake.
+        ``base_panels_per_unit`` is interpreted per family: total panels for
+        the smooth closed curves, panels per arc segment for the corner
+        star, panels per wavelength for the snake.
         """
         raise NotImplementedError
 
@@ -80,19 +92,11 @@ class UnitCircle(Contour):
             raise ValueError(f"circle radius must be positive, got {radius}")
         self.radius = float(radius)
         self.period = 2 * np.pi
-        self.corner_locations = np.zeros(0)
 
-    def position(self, t):
-        t = np.asarray(t, float)
-        return self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-    def derivative(self, t):
-        t = np.asarray(t, float)
-        return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    def second_derivative(self, t):
-        t = np.asarray(t, float)
-        return self.radius * np.stack([-np.cos(t), -np.sin(t)], axis=-1)
+    def _curve(self, t):
+        c, s, r = np.cos(t), np.sin(t), self.radius
+        return (r * np.stack([c, s], axis=-1), r * np.stack([-s, c], axis=-1),
+                r * np.stack([-c, -s], axis=-1))
 
     def sections(self, base):
         return [(0.0, self.period, int(base))]
@@ -115,35 +119,16 @@ class SmoothStar(Contour):
         self.arms = arms
         self.amplitude = float(amplitude)
         self.period = 2 * np.pi
-        self.corner_locations = np.zeros(0)
 
-    def _r(self, t):
-        return 1.0 + self.amplitude * np.cos(self.arms * t)
-
-    def position(self, t):
-        t = np.asarray(t, float)
-        r = self._r(t)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def derivative(self, t):
-        t = np.asarray(t, float)
-        r = self._r(t)
+    def _curve(self, t):
+        c, s, ca = np.cos(t), np.sin(t), np.cos(self.arms * t)
+        r = 1.0 + self.amplitude * ca
         dr = -self.amplitude * self.arms * np.sin(self.arms * t)
-        return np.stack(
-            [dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)], axis=-1
-        )
-
-    def second_derivative(self, t):
-        t = np.asarray(t, float)
-        r = self._r(t)
-        dr = -self.amplitude * self.arms * np.sin(self.arms * t)
-        ddr = -self.amplitude * self.arms**2 * np.cos(self.arms * t)
-        return np.stack(
-            [
-                ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
-                ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t),
-            ],
-            axis=-1,
+        ddr = -self.amplitude * self.arms**2 * ca
+        return (
+            np.stack([r * c, r * s], axis=-1),
+            np.stack([dr * c - r * s, dr * s + r * c], axis=-1),
+            np.stack([ddr * c - 2 * dr * s - r * c, ddr * s + 2 * dr * c - r * s], axis=-1),
         )
 
     def sections(self, base):
@@ -163,6 +148,7 @@ class CornerStar(Contour):
     """
 
     kind = "corner_star"
+    cornered = True
 
     def __init__(self, segments=10, radii=(0.9, 1.1), arc_radius_scale=2.0):
         segments = int(segments)
@@ -177,7 +163,6 @@ class CornerStar(Contour):
         self.radii = radii
         self.arc_radius_scale = float(arc_radius_scale)
         self.period = float(segments)
-        self.corner_locations = np.arange(segments, dtype=float)
 
         theta = 2 * np.pi * np.arange(segments) / segments
         rad = np.where(np.arange(segments) % 2 == 0, radii[0], radii[1])
@@ -207,37 +192,20 @@ class CornerStar(Contour):
             self._phi0[j] = phi0
             self._dphi[j] = dphi
 
-    def _angles(self, t):
-        t = np.asarray(t, float)
+    def _curve(self, t):
         j = np.clip(np.floor(t).astype(int), 0, self.segments - 1)
         phi = self._phi0[j] + (t - j) * self._dphi[j]
-        return j, phi
-
-    def position(self, t):
-        j, phi = self._angles(t)
-        return self._centers[j] + self._rho[j][..., None] * np.stack(
-            [np.cos(phi), np.sin(phi)], axis=-1
-        )
-
-    def derivative(self, t):
-        j, phi = self._angles(t)
-        w = self._rho[j] * self._dphi[j]
-        return np.stack([-w * np.sin(phi), w * np.cos(phi)], axis=-1)
-
-    def second_derivative(self, t):
-        j, phi = self._angles(t)
-        w = self._rho[j] * self._dphi[j] ** 2
-        return np.stack([-w * np.cos(phi), -w * np.sin(phi)], axis=-1)
+        c, s, rho, dphi = np.cos(phi), np.sin(phi), self._rho[j], self._dphi[j]
+        w1, w2 = rho * dphi, rho * dphi**2
+        return (self._centers[j] + rho[..., None] * np.stack([c, s], axis=-1),
+                np.stack([-w1 * s, w1 * c], axis=-1), np.stack([-w2 * c, -w2 * s], axis=-1))
 
     def sections(self, base):
         return [(float(j), float(j + 1), int(base)) for j in range(self.segments)]
 
     def params(self):
-        return {
-            "segments": self.segments,
-            "radii": list(self.radii),
-            "arc_radius_scale": self.arc_radius_scale,
-        }
+        return {"segments": self.segments, "radii": list(self.radii),
+                "arc_radius_scale": self.arc_radius_scale}
 
 
 class Snake(Contour):
@@ -250,6 +218,7 @@ class Snake(Contour):
     """
 
     kind = "snake"
+    cornered = True
 
     def __init__(self, waves=2, amplitude=1.0, gap=0.2):
         waves = int(waves)
@@ -265,72 +234,30 @@ class Snake(Contour):
         self._breaks = np.array(
             [0.0, self.span, self.span + self.gap, 2 * self.span + self.gap, self.period]
         )
-        self.corner_locations = self._breaks[:4].copy()
 
-    def _pieces(self, t):
-        t = np.asarray(t, float)
+    def _curve(self, t):
         piece = np.clip(np.searchsorted(self._breaks, t, side="right") - 1, 0, 3)
-        return t, piece
-
-    def position(self, t):
-        t, piece = self._pieces(t)
         h, a, sp, g = self.gap / 2, self.amplitude, self.span, self.gap
-        x = np.empty_like(t)
-        y = np.empty_like(t)
-        m = piece == 0
+        x, y, dx, dy, ddy = (np.zeros_like(t) for _ in range(5))
+        m = piece == 0  # bottom wave, left to right
         x[m] = t[m]
-        y[m] = a * np.sin(t[m]) - h
-        m = piece == 1
-        x[m] = sp
-        y[m] = -h + (t[m] - sp)
-        m = piece == 2
+        sin = np.sin(t[m])
+        y[m], dx[m], dy[m], ddy[m] = a * sin - h, 1.0, a * np.cos(t[m]), -a * sin
+        m = piece == 1  # right vertical, upward
+        x[m], y[m], dy[m] = sp, -h + (t[m] - sp), 1.0
+        m = piece == 2  # top wave, right to left
         x[m] = sp - (t[m] - sp - g)
-        y[m] = a * np.sin(x[m]) + h
-        m = piece == 3
-        x[m] = 0.0
-        y[m] = h - (t[m] - 2 * sp - g)
-        return np.stack([x, y], axis=-1)
-
-    def derivative(self, t):
-        t, piece = self._pieces(t)
-        a, sp, g = self.amplitude, self.span, self.gap
-        dx = np.empty_like(t)
-        dy = np.empty_like(t)
-        m = piece == 0
-        dx[m] = 1.0
-        dy[m] = a * np.cos(t[m])
-        m = piece == 1
-        dx[m] = 0.0
-        dy[m] = 1.0
-        m = piece == 2
-        dx[m] = -1.0
-        dy[m] = -a * np.cos(sp - (t[m] - sp - g))
-        m = piece == 3
-        dx[m] = 0.0
-        dy[m] = -1.0
-        return np.stack([dx, dy], axis=-1)
-
-    def second_derivative(self, t):
-        t, piece = self._pieces(t)
-        a, sp, g = self.amplitude, self.span, self.gap
-        ddx = np.zeros_like(t)
-        ddy = np.zeros_like(t)
-        m = piece == 0
-        ddy[m] = -a * np.sin(t[m])
-        m = piece == 2
-        ddy[m] = -a * np.sin(sp - (t[m] - sp - g))
-        return np.stack([ddx, ddy], axis=-1)
+        sin = np.sin(x[m])
+        y[m], dx[m], dy[m], ddy[m] = a * sin + h, -1.0, -a * np.cos(x[m]), -a * sin
+        m = piece == 3  # left vertical, downward
+        y[m], dy[m] = h - (t[m] - 2 * sp - g), -1.0
+        return (np.stack([x, y], axis=-1), np.stack([dx, dy], axis=-1),
+                np.stack([np.zeros_like(t), ddy], axis=-1))
 
     def sections(self, base):
         # waves get `base` panels per wavelength; verticals get 4 panels each
-        b = self._breaks
-        n_wave = int(base) * self.waves
-        return [
-            (b[0], b[1], n_wave),
-            (b[1], b[2], 4),
-            (b[2], b[3], n_wave),
-            (b[3], b[4], 4),
-        ]
+        b, n_wave = self._breaks, int(base) * self.waves
+        return [(b[0], b[1], n_wave), (b[1], b[2], 4), (b[2], b[3], n_wave), (b[3], b[4], 4)]
 
     def params(self):
         return {"waves": self.waves, "amplitude": self.amplitude, "gap": self.gap}
@@ -349,7 +276,17 @@ def make_contour(kind, **params) -> Contour:
     key = str(kind).lower().replace("-", "_")
     if key not in _KINDS:
         raise ValueError(f"unknown contour kind {kind!r}; choose from {sorted(_KINDS)}")
-    return _KINDS[key](**params)
+    for name, value in params.items():
+        try:
+            numeric = np.asarray(value).dtype.kind in "iuf" and np.all(np.isfinite(value))
+        except ValueError:  # a ragged list
+            numeric = False
+        if not numeric:
+            raise ValueError(f"{key} parameter {name!r} must be finite numbers, got {value!r}")
+    try:
+        return _KINDS[key](**params)
+    except TypeError as exc:  # an unknown parameter name, or a scalar for a list
+        raise ValueError(f"bad {key} parameters: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -381,34 +318,25 @@ def _grade_toward(a, b, levels, corner_at_start):
 def decompose(contour: Contour, base_panels_per_unit: int, corner_refine_levels: int) -> PanelDecomposition:
     """Panel the contour, dyadically refining toward every corner.
 
-    Each panel adjacent to a corner is replaced by ``corner_refine_levels + 1``
-    panels whose lengths halve toward the corner (adjacent length ratio 1/2,
-    innermost pair equal).  Smooth contours are panelled near-uniformly.
+    On a cornered contour, the first and the last panel of every section
+    (each next to a corner) is replaced by ``corner_refine_levels + 1``
+    panels whose lengths halve toward the corner (adjacent length ratio
+    1/2, innermost pair equal).  Smooth contours are panelled near-uniformly.
     """
     if base_panels_per_unit < 1 or corner_refine_levels < 0:
         raise ValueError("panel and refinement counts must be >= 1 and >= 0")
-    corners = set(np.round(contour.corner_locations, 12))
-    corners |= {np.round(contour.period, 12)} if 0.0 in corners else set()
-
+    lv = corner_refine_levels if contour.cornered else 0
     pieces = []
     for a, b, count in contour.sections(base_panels_per_unit):
         cuts = np.linspace(a, b, count + 1)
         base = np.stack([cuts[:-1], cuts[1:]], axis=-1)
-        start_corner = np.round(a, 12) in corners
-        end_corner = np.round(b, 12) in corners
-        lv = corner_refine_levels
-        if lv > 0 and start_corner and count > 0:
-            first, base = base[0], base[1:]
-            pieces.append(_grade_toward(first[0], first[1], lv, corner_at_start=True))
-        if lv > 0 and end_corner and base.shape[0] > 0:
-            last, base = base[-1], base[:-1]
+        if lv == 0:
             pieces.append(base)
-            pieces.append(_grade_toward(last[0], last[1], lv, corner_at_start=False))
-        else:
-            pieces.append(base)
-    panels = np.concatenate([p for p in pieces if p.size], axis=0)
-    order = np.argsort(panels[:, 0])
-    panels = panels[order]
+            continue
+        pieces.append(_grade_toward(*base[0], lv, corner_at_start=True))
+        if count > 1:
+            pieces += [base[1:-1], _grade_toward(*base[-1], lv, corner_at_start=False)]
+    panels = np.concatenate(pieces, axis=0)
     if np.min(panels[:, 1] - panels[:, 0]) < MIN_PANEL_LENGTH:
         raise ValueError(
             f"grading produced a panel shorter than {MIN_PANEL_LENGTH:g} in parameter; "
@@ -435,5 +363,7 @@ def load_geometry_spec(path):
     for key in ("kind", "params", "panels_per_unit", "corner_levels"):
         if key not in spec:
             raise ValueError(f"geometry spec missing field {key!r}")
+    if not isinstance(spec["params"], dict):
+        raise ValueError(f"{spec['kind']} params must be a JSON object, got {spec['params']!r}")
     contour = make_contour(spec["kind"], **spec["params"])
     return contour, int(spec["panels_per_unit"]), int(spec["corner_levels"])

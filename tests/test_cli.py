@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def test_invalid_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["discretize", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("smooth_star", {"arms": 5, "bogus": 1}, "smooth_star.*'bogus'"),
+    ("corner_star", [1, 2], "corner_star params must be a JSON object"),
+    ("unit_circle", {"radius": "big"}, "unit_circle parameter 'radius'"),
+])
+def test_malformed_spec_params_exit_2(tmp_path, capsys, kind, params, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": kind, "params": params,
+                               "panels_per_unit": 4, "corner_levels": 0}))
+    assert cli.main(["discretize", str(bad), "-o", str(tmp_path / "g.csv")]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_solve_harmonic_rhs(tmp_path, capsys):
@@ -191,6 +205,27 @@ def test_benchmark_small_sizes(tmp_path, capsys):
 def test_benchmark_bad_sizes_exits_2(capsys):
     assert cli.main(["benchmark", "--sizes", "abc"]) == 2
     assert cli.main(["benchmark", "--sizes", ","]) == 2
+    assert cli.main(["benchmark", "--sizes", "-5"]) == 2
+    assert cli.main(["benchmark", "--sizes", "300,0"]) == 2
+    assert "positive integers" in capsys.readouterr().err
+    for command in ("benchmark", "discretize spec.json"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command.split(), "--nodes-per-panel", "0"])
+        assert exc.value.code == 2
+        assert "--nodes-per-panel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry", ["smooth_star", "corner_star", "snake"])
+@pytest.mark.parametrize("corner_levels", [None, 2, 7])
+def test_benchmark_setup_lands_nearest_the_target(geometry, corner_levels):
+    per_panel = 10
+    for n_target in (3000, 4321, 10000, 20007, 40000):
+        contour, base, levels = cli._benchmark_setup(geometry, n_target, per_panel,
+                                                     corner_levels)
+        assert levels == (0 if geometry == "smooth_star" else corner_levels or 5)
+        misses = {b: abs(per_panel * hb.decompose(contour, b, levels).count - n_target)
+                  for b in (base - 1, base, base + 1)}
+        assert misses[base] == min(misses.values())
 
 
 def test_solve_nan_rhs_exits_2(tmp_path, capsys):

@@ -30,6 +30,19 @@ def test_unit_normals(contour):
     assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("contour", ALL_KINDS, ids=lambda c: c.kind)
+def test_derivatives_match_central_differences(contour):
+    h = 1e-5
+    t = np.linspace(0.01, contour.period - 0.01, 401)
+    if contour.cornered:  # keep every stencil inside one smooth piece
+        ends = np.append(contour.corner_locations, contour.period)
+        t = t[np.min(np.abs(t[:, None] - ends), axis=1) > 2 * h]
+    fd = (contour.position(t + h) - contour.position(t - h)) / (2 * h)
+    assert np.max(np.abs(fd - contour.derivative(t))) < 1e-8
+    fdd = (contour.derivative(t + h) - contour.derivative(t - h)) / (2 * h)
+    assert np.max(np.abs(fdd - contour.second_derivative(t))) < 1e-7
+
+
 def test_circle_basics():
     c = hb.UnitCircle()
     t = np.array([0.0, np.pi / 2, np.pi])
@@ -93,6 +106,12 @@ def test_make_contour_dispatch_and_errors():
         make_contour("corner_star", radii=(1.0, -1.0))
     with pytest.raises(ValueError):
         make_contour("smooth_star", amplitude=1.5)
+    with pytest.raises(ValueError, match="smooth_star.*'bogus'"):
+        make_contour("smooth_star", arms=5, bogus=1)
+    with pytest.raises(ValueError, match="unit_circle parameter 'radius'"):
+        make_contour("unit_circle", radius="big")
+    with pytest.raises(ValueError, match="corner_star parameter 'radii'"):
+        make_contour("corner_star", radii=[0.9, None])
 
 
 def test_decompose_circle_uniform():
@@ -105,22 +124,29 @@ def test_decompose_circle_uniform():
 
 
 def test_decompose_corner_star_grading():
-    c = hb.CornerStar()
     levels = 5
-    panels = hb.decompose(c, 6, levels)
-    # each of 10 segments: 6 base panels, both end panels replaced by levels+1
-    assert panels.count == 10 * (6 + 2 * levels)
-    ends = panels.panels.ravel()
-    for corner in c.corner_locations:
-        assert corner in ends  # exact endpoint, not approximate
-    # graded region next to the corner at t=1: ratio 1/2 toward the corner
-    lengths = panels.lengths()
-    starts = panels.panels[:, 0]
-    before = np.argsort(starts)[np.searchsorted(np.sort(starts), 1.0) - 1]
-    graded = lengths[before - levels : before + 1]
-    ratios = graded[1:] / graded[:-1]
-    assert np.allclose(ratios[:-1], 0.5)  # lengths halve toward the corner
-    assert np.isclose(graded[-1], graded[-2])  # innermost pair equal
+    for contour, base in ((hb.CornerStar(), 6), (hb.Snake(waves=2), 3)):
+        panels = hb.decompose(contour, base, levels)
+        sections = contour.sections(base)
+        # each section's two end panels are replaced by levels + 1 graded ones
+        assert panels.count == sum(count + 2 * levels for _, _, count in sections)
+        assert np.array_equal(contour.corner_locations, [a for a, _, _ in sections])
+        starts, lengths = panels.panels[:, 0], panels.lengths()
+        for corner in contour.corner_locations:
+            at = np.flatnonzero(starts == corner)  # exact endpoint, not approximate
+            assert at.size == 1
+            after = lengths[at[0] : at[0] + levels + 1]  # graded panels after the corner
+            before = np.roll(lengths, -at[0])[-levels - 1 :]  # ... and before it
+            for graded in (after[::-1], before):
+                ratios = graded[1:] / graded[:-1]
+                assert np.allclose(ratios[:-1], 0.5)  # lengths halve toward the corner
+                assert np.isclose(graded[-1], graded[-2])  # innermost pair equal
+
+
+def test_smooth_contours_have_no_corners():
+    for c in (hb.UnitCircle(), hb.SmoothStar()):
+        assert not c.cornered and c.corner_locations.shape == (0,)
+        assert np.array_equal(hb.decompose(c, 12, 5).panels, hb.decompose(c, 12, 0).panels)
 
 
 def test_decompose_snake_count():
