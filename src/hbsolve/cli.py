@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -136,14 +137,9 @@ def _load_rhs(spec, grid):
 def _config_from(args):
     from .config import CompressionConfig
 
-    return CompressionConfig(
-        tol=args.tol,
-        proxy_points=args.proxy_points,
-        proxy_radius_factor=args.proxy_radius_factor,
-        symmetrize=args.symmetrize,
-        target_leaf=args.target_leaf,
-        mode=args.mode,
-    )
+    # each solver flag's dest is its field's name (_add_solver_flags)
+    return CompressionConfig(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(CompressionConfig)})
 
 
 def cmd_solve(args):

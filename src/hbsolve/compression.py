@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -317,12 +317,7 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
         "schema_version": 3,
         "n": int(grid.size),
         "levels": int(A.tree.levels),
-        "mode": cfg.mode,
-        "tol": cfg.tol,
-        "proxy_points": cfg.proxy_points,
-        "proxy_radius_factor": cfg.proxy_radius_factor,
-        "symmetrize": cfg.symmetrize,
-        "target_leaf": cfg.target_leaf,
+        **asdict(cfg),
         "proxy_kernel": "monopole rows, weighted dipole columns",
         "timings": {
             "compress": _sig3(t1 - t0),

@@ -24,6 +24,14 @@ import numpy as np
 MIN_PANEL_LENGTH = 1e-12
 
 
+def _whole(value, what):
+    """value as an int; a fractional (or non-finite) value raises ValueError
+    naming `what`, where int() would truncate it."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 class Contour:
     """Base class for closed parametric curves.
 
@@ -111,7 +119,7 @@ class SmoothStar(Contour):
     kind = "smooth_star"
 
     def __init__(self, arms=5, amplitude=0.3):
-        arms = int(arms)
+        arms = _whole(arms, "smooth star arms")
         if arms < 1:
             raise ValueError(f"smooth star needs arms >= 1, got {arms}")
         if not 0 < amplitude < 1:
@@ -151,7 +159,7 @@ class CornerStar(Contour):
     cornered = True
 
     def __init__(self, segments=10, radii=(0.9, 1.1), arc_radius_scale=2.0):
-        segments = int(segments)
+        segments = _whole(segments, "corner star segments")
         if segments < 4 or segments % 2 != 0:
             raise ValueError(f"corner star needs an even segment count >= 4, got {segments}")
         radii = tuple(float(r) for r in radii)
@@ -221,7 +229,7 @@ class Snake(Contour):
     cornered = True
 
     def __init__(self, waves=2, amplitude=1.0, gap=0.2):
-        waves = int(waves)
+        waves = _whole(waves, "snake waves")
         if waves < 1:
             raise ValueError(f"snake needs waves >= 1, got {waves}")
         if amplitude <= 0 or gap <= 0:

@@ -233,10 +233,12 @@ class StackedBlocks:
 
     def coupling(self, level, start, k1, k2):
         """The products that map the outgoing values of level + 1, in parent
-        order (see _Route), to its incoming ones, as (ops for _products, a
-        gather of their result into parent order or None).  start, k1 and
-        k2 run over level's nodes by number: where a node's children's values
-        start in parent order, and the children's ranks."""
+        order (see _Route), to its incoming ones, as (gather, stacks,
+        scatter): `gather` indexes those values so that each stack reads a
+        contiguous run (_products), and `scatter` indexes the products into
+        parent order; a None index leaves its values as they are.  start, k1
+        and k2 run over level's nodes by number: where a node's children's
+        values start in parent order, and their ranks."""
         raise NotImplementedError
 
     @cached_property
@@ -272,36 +274,24 @@ class HbsMatrix(StackedBlocks):
 
     def coupling(self, level, start, k1, k2):
         """B12 maps a parent's right child's values into its left child's,
-        B21 the reverse: each stack gathers its rows, and one more gather
-        puts the results, B12's then B21's, into parent order."""
-        ops, targets = [], []
+        B21 the reverse.  One gather lines up the sources of B12's stacks,
+        then B21's, and one scatter puts the results into parent order."""
+        stacks, sources, targets = [], [], []
         for name in ("B12", "B21"):
-            buckets = self.stacks[name].get(level, [])
-            if not buckets:
-                continue
+            buckets = self.stacks[name][level]
             i = np.concatenate([nodes for nodes, _ in buckets]) - (1 << level)
             left, right = (start[i], k1[i]), (start[i] + k1[i], k2[i])  # first row, count
             into, source = (left, right) if name == "B12" else (right, left)
+            stacks += [S for _, S in buckets]
+            sources.append(_ranges(*source))
             targets.append(_ranges(*into))
-            ops += _gathering([S for _, S in buckets], _ranges(*source))
-        return ops, _inverse_permutation(np.concatenate(targets)) if targets else None
+        return np.concatenate(sources), stacks, _inverse_permutation(np.concatenate(targets))
 
 
 def _ranges(starts, lengths):
     """The ranges [start, start + length), concatenated, in one pass."""
     ends = np.cumsum(lengths)
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _gathering(stacks, rows):
-    """Ops for _products that take each stack's c blocks of s rows of v from
-    the next c s entries of `rows`."""
-    ops, at = [], 0
-    for S in stacks:
-        c, _, s = S.shape
-        ops.append((S, rows[at:at + c * s].reshape(c, s)))
-        at += c * s
-    return ops
 
 
 def _inverse_permutation(p):
@@ -311,15 +301,17 @@ def _inverse_permutation(p):
 
 
 class _Route:
-    """Gather indices and stacks of one traversal of an object's blocks.
+    """Every gather of one traversal of an object's blocks, and its stacks.
 
     Level l's values, outgoing and incoming, hold each node's rows in the
-    order of the DOWN stacks at level l (bucket order).  `children[l]`
-    gathers, for level l's nodes in bucket order, each one's children's
-    values at level l + 1, left then right (parent order); `parents[l]`
-    takes parent order back to bucket order.  `leaf_rows` lists the leaves'
-    indices in bucket order.  Every index is built with a few vectorized
-    calls per level.
+    order of the DOWN stacks at level l (bucket order).  `leaf_rows` lists
+    the leaves' indices in bucket order, which the leaves' UP and DIAG
+    stacks share (allocate_stacks).  `children[l]` gathers, for level l's
+    nodes in bucket order, each one's children's values at level l + 1,
+    left then right (parent order); `parents[l]` takes parent order back to
+    bucket order; `coupling[l]` is obj.coupling's.  `up[l]` (transposed),
+    `down[l]` and `diag` hold only stacks.  Every index is built with a few
+    vectorized calls per level.
     """
 
     def __init__(self, obj: StackedBlocks):
@@ -336,13 +328,10 @@ class _Route:
         def stacks(name, level):
             return [S for _, S in obj.stacks[name].get(level, [])]
 
-        # the leaves' UP and DIAG stacks gather their rows of x themselves
-        self.up = [[(S.transpose(0, 2, 1), None) for S in stacks(obj.UP, level)]
-                   for level in range(levels)]
-        self.up.append(_gathering([S.transpose(0, 2, 1) for S in stacks(obj.UP, levels)],
-                                  self.leaf_rows))
-        self.down = [[(S, None) for S in stacks(obj.DOWN, level)] for level in range(levels + 1)]
-        self.diag = _gathering(stacks(obj.DIAG, levels), self.leaf_rows)
+        self.up = [[S.transpose(0, 2, 1) for S in stacks(obj.UP, level)]
+                   for level in range(levels + 1)]
+        self.down = [stacks(obj.DOWN, level) for level in range(levels + 1)]
+        self.diag = stacks(obj.DIAG, levels)
         self.children, self.parents, self.coupling = [], [], []
         for level in range(levels):
             first = 1 << level  # level's first node
@@ -360,18 +349,17 @@ class _Route:
             self.coupling.append(obj.coupling(level, starts, k[:, 0], k[:, 1]))
 
 
-def _products(ops, v, into=None):
-    """Products of each op's stack (c, r, s) with c blocks of s rows of v, an
-    (rows, m) array: the op's gathered rows (c, s), or else the next c s rows
-    of v.  Returns the c r rows of every op's result, stacked in op order;
-    given `into`, adds them to it instead, one stack's result at a time."""
+def _products(stacks, v, into=None):
+    """Products of each stack (c, r, s) with the next c s rows of v, an
+    (rows, m) array, read as c blocks of s rows.  Returns the c r rows of
+    every stack's result, stacked in stack order; given `into`, adds them to
+    it instead, one stack's result at a time."""
     m = v.shape[1]
-    out = np.empty((sum(S.shape[0] * S.shape[1] for S, _ in ops), m)) if into is None else into
+    out = np.empty((sum(S.shape[0] * S.shape[1] for S in stacks), m)) if into is None else into
     i = o = 0
-    for S, rows in ops:
+    for S in stacks:
         c, r, s = S.shape
-        src = v[i:i + c * s].reshape(c, s, m) if rows is None else v[rows]
-        dst = out[o:o + c * r].reshape(c, r, m)
+        src, dst = v[i:i + c * s].reshape(c, s, m), out[o:o + c * r].reshape(c, r, m)
         if into is None:
             np.matmul(S, src, out=dst)
         else:
@@ -384,22 +372,25 @@ def _telescope(obj: StackedBlocks, x):
     """y = diag x + down (coupling (up* x)) in one traversal of obj's stacks,
     for x of shape (N,) or (N, m); y has x's shape.
 
-    Upward, the leaves' UP stacks each gather their rows of x, and each
-    level above maps its children's values, gathered into parent order (see
-    _Route), through its UP stacks.  Downward, each level's coupling and its
-    DOWN stacks map into its children's incoming values in parent order, one
-    gather puts them into the children's bucket order, and at the leaves the
-    DOWN and DIAG products (the DIAG stacks gather their rows of x again)
-    are summed and scattered back to index order.  Each stack costs one
-    gather at most and one np.matmul, whatever the number of its nodes.
+    x's leaf rows are gathered once, in bucket order (see _Route); the
+    leaves' DIAG and UP stacks both read that block.  Upward, each level
+    above maps its children's values, gathered into parent order, through
+    its UP stacks.  Downward, each level's coupling and its DOWN stacks map
+    into its children's incoming values in parent order, one gather puts
+    them into the children's bucket order, and at the leaves the DOWN
+    products are added to the DIAG ones and scattered back to index order.
+    _Route holds every gather; each stack costs one np.matmul, whatever the
+    number of its nodes.
     """
     n, levels = obj.tree.n, obj.tree.levels
     x = as_real(x, "the input")
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"expected shape ({n},) or ({n}, m), got {x.shape}")
     route = obj._route
-    columns = x if x.ndim == 2 else x[:, None]
-    z = _products(route.up[levels], columns)
+    leaf = (x if x.ndim == 2 else x[:, None])[route.leaf_rows]
+    y = _products(route.diag, leaf)
+    z = _products(route.up[levels], leaf)
+    leaf = None  # let it go before the upward pass
     below = [None] * levels  # each level's children's values, in parent order
     for level in range(levels - 1, -1, -1):
         below[level] = z[route.children[level]]
@@ -407,15 +398,14 @@ def _telescope(obj: StackedBlocks, x):
             z = _products(route.up[level], below[level])
     incoming = None
     for level in range(levels):
-        ops, to_parent_order = route.coupling[level]
-        t = _products(ops, below[level])
+        gather, stacks, scatter = route.coupling[level]
+        t = _products(stacks, below[level] if gather is None else below[level][gather])
         below[level] = None
-        if to_parent_order is not None:
-            t = t[to_parent_order]
+        if scatter is not None:
+            t = t[scatter]
         if level:
             _products(route.down[level], incoming, into=t)
         incoming = t[route.parents[level]]
-    y = _products(route.diag, columns)
     if levels:
         _products(route.down[levels], incoming, into=y)
     incoming = None  # let it go before the result is allocated

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import block_diag, lapack
 
 from .hbs import HbsMatrix, StackedBlocks, _telescope, allocate_stacks, block_views, transposed
 
@@ -84,8 +84,6 @@ class BlockSeparableMatrix:
     core: np.ndarray  # (sum k_i, sum k_i), zero diagonal blocks
 
     def to_dense(self):
-        from scipy.linalg import block_diag
-
         U = block_diag(*self.U)
         V = block_diag(*self.V)
         return U @ self.core @ V.T + block_diag(*self.D)
@@ -126,8 +124,6 @@ def bs_invert(A: BlockSeparableMatrix) -> BlockSeparableInverse:
         G.append(np.empty((n, n)))
         Dhat.append(np.empty((k, k)))
         telemetry[i] = _node_factors(Di, Ui, Vi, f"block {i}", (E[-1], F[-1], G[-1], Dhat[-1]))
-    from scipy.linalg import block_diag
-
     shifted = A.core + block_diag(*Dhat) if Dhat else A.core
     core_inv, cond = _inv(shifted, "shifted core")
     telemetry["core"] = {"cond": cond}
@@ -153,7 +149,7 @@ class HbsInverse(StackedBlocks):
 
     def coupling(self, level, start, k1, k2):
         """A parent's G maps its children's stacked values, in parent order."""
-        return [(S, None) for _, S in self.stacks["G"].get(level, [])], None
+        return None, [S for _, S in self.stacks["G"][level]], None
 
 
 def hbs_invert(A: HbsMatrix) -> HbsInverse:
@@ -265,13 +261,6 @@ def reformat_orthonormal(A: HbsMatrix) -> HbsMatrix:
             B12[parent] = d12
             B21[parent] = d21
             if level > 1:
-                r1, r2 = X1.shape[1], X2.shape[1]
-                TU = np.zeros((r1 + r2, U[parent].shape[0]))
-                TU[:r1, : R[s1].shape[1]] = X1.T @ R[s1]
-                TU[r1:, R[s1].shape[1] :] = X2.T @ R[s2]
-                TV = np.zeros((r1 + r2, V[parent].shape[0]))
-                TV[:r1, : S[s1].shape[1]] = Y1t @ S[s1]
-                TV[r1:, S[s1].shape[1] :] = Y2t @ S[s2]
-                U[parent] = TU @ U[parent]
-                V[parent] = TV @ V[parent]
+                U[parent] = block_diag(X1.T @ R[s1], X2.T @ R[s2]) @ U[parent]
+                V[parent] = block_diag(Y1t @ S[s1], Y2t @ S[s2]) @ V[parent]
     return HbsMatrix(tree, D=A.D, U=U, V=V, B12=B12, B21=B21)

@@ -221,7 +221,7 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     Candidates are boundary nodes pulled toward the node centroid and
     nodes offset along the inward normal; candidates outside the domain
     (winding number != 1) or too close to the boundary are dropped, and
-    the deepest survivors win.
+    the deepest survivors (farthest from their nearest node) win.
     """
     pts = grid.points
     c = pts.mean(axis=0)
@@ -237,10 +237,9 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     cands = cands[inside]
     if cands.shape[0] == 0:
         raise ValueError("no interior probe points found; geometry too thin?")
-    dist = np.concatenate([
-        np.min(np.linalg.norm(cands[rows, None, :] - pts[None, :, :], axis=2), axis=1)
-        for rows in _row_chunks(cands.shape[0], grid.size)])
-    order = np.argsort(-dist)
+    from scipy.spatial import cKDTree  # only here, so that discretizing does not load it
+
+    order = np.argsort(-cKDTree(pts).query(cands)[0])
     return cands[order[:count]]
 
 

@@ -54,6 +54,9 @@ def test_invalid_spec_exits_2(tmp_path, capsys):
     ("smooth_star", {"arms": 5, "bogus": 1}, "smooth_star.*'bogus'"),
     ("corner_star", [1, 2], "corner_star params must be a JSON object"),
     ("unit_circle", {"radius": "big"}, "unit_circle parameter 'radius'"),
+    ("smooth_star", {"arms": 5.9}, "arms must be a whole number, got 5.9"),
+    ("corner_star", {"segments": 2.5}, "segments must be a whole number, got 2.5"),
+    ("snake", {"waves": 2.7}, "waves must be a whole number, got 2.7"),
 ])
 def test_malformed_spec_params_exit_2(tmp_path, capsys, kind, params, message):
     bad = tmp_path / "bad.json"

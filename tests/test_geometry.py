@@ -112,6 +112,14 @@ def test_make_contour_dispatch_and_errors():
         make_contour("unit_circle", radius="big")
     with pytest.raises(ValueError, match="corner_star parameter 'radii'"):
         make_contour("corner_star", radii=[0.9, None])
+    # a count with a fractional part is refused, not truncated
+    for kind, name, value in (("smooth_star", "arms", 5.9), ("corner_star", "segments", 2.5),
+                              ("snake", "waves", 2.7)):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {value}"):
+            make_contour(kind, **{name: value})
+    assert make_contour("smooth_star", arms=5.0).arms == 5
+    assert make_contour("snake", waves=np.int64(3)).waves == 3
+    assert make_contour("corner_star", segments=np.int32(8)).segments == 8
 
 
 def test_decompose_circle_uniform():
