@@ -157,7 +157,7 @@ def cmd_solve(args):
     if source is not None:
         targets = quadrature.interior_probe_points(grid, count=10)
         u = quadrature.eval_dlp_potential(grid, q, targets)
-        exact = np.log(np.linalg.norm(targets - source, axis=1))
+        exact = quadrature.log_distance(targets, source)
         report["interior_error"] = float(f"{np.max(np.abs(u - exact)):.3g}")
 
     with open(args.output, "w") as f:

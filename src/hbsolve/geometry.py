@@ -5,7 +5,8 @@ boundary is a chain of circular arcs meeting at corners, and a "snake"
 (two parallel sine waves closed off by short vertical segments).  Each
 contour is a simple closed curve traversed counterclockwise, exposing
 position, first/second derivative, outward unit normal, speed and signed
-curvature as vectorized callables of the parameter t in [0, T).
+curvature as vectorized callables of the parameter t in [0, T); ``frame``
+gives the position, normal, speed and curvature from one evaluation.
 
 A family implements two methods: ``_curve``, which returns the position
 and both derivatives at once, and ``sections``, which splits [0, T) into
@@ -56,21 +57,26 @@ class Contour:
     def second_derivative(self, t):
         return self._curve(np.asarray(t, float))[2]
 
-    def speed(self, t):
-        d = self.derivative(t)
-        return np.hypot(d[..., 0], d[..., 1])
+    def frame(self, t):
+        """(position, outward unit normal, speed, signed curvature) at t,
+        from one evaluation of the curve.
+
+        The normal is the tangent rotated by -90 degrees; the curvature is
+        positive where the curve bends like a CCW circle.
+        """
+        p, d, dd = self._curve(np.asarray(t, float))
+        s = np.hypot(d[..., 0], d[..., 1])
+        normal = np.stack([d[..., 1] / s, -d[..., 0] / s], axis=-1)
+        return p, normal, s, (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
 
     def normal(self, t):
-        """Outward unit normal (the tangent rotated by -90 degrees)."""
-        d = self.derivative(t)
-        s = np.hypot(d[..., 0], d[..., 1])
-        return np.stack([d[..., 1] / s, -d[..., 0] / s], axis=-1)
+        return self.frame(t)[1]
+
+    def speed(self, t):
+        return self.frame(t)[2]
 
     def curvature(self, t):
-        """Signed curvature; positive where the curve bends like a CCW circle."""
-        _, d, dd = self._curve(np.asarray(t, float))
-        s = np.hypot(d[..., 0], d[..., 1])
-        return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
+        return self.frame(t)[3]
 
     @property
     def corner_locations(self):

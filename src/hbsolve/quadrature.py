@@ -25,6 +25,7 @@ with the curvature limit.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +85,14 @@ def build_grid(contour: Contour, panels: PanelDecomposition, nodes_per_panel: in
     b = panels.panels[:, 1][:, None]
     t = (0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]).ravel()
     w_ref = (0.5 * (b - a) * wg[None, :]).ravel()
+    points, normals, speed, curvature = contour.frame(t)
     return QuadratureGrid(
         t=t,
-        points=contour.position(t),
-        normals=contour.normal(t),
-        weights=w_ref * contour.speed(t),
+        points=points,
+        normals=normals,
+        weights=w_ref * speed,
         panel_of=np.repeat(np.arange(panels.count), nodes_per_panel),
-        curvature=contour.curvature(t),
+        curvature=curvature,
     )
 
 
@@ -203,15 +205,32 @@ def _row_chunks(count, n):
 
 
 def winding_number(grid: QuadratureGrid, targets):
-    """Winding number of the (ordered, closed) node polygon around targets."""
+    """Winding number of the (ordered, closed) node polygon around targets,
+    as exact integers.
+
+    Each target's rightward horizontal ray is tested against the edges:
+    an upward crossing with the target on the edge's left counts +1, a
+    downward crossing with the target on its right counts -1.  A node on
+    the ray counts as above it when its y is greater than the target's, so
+    a ray through a node crosses exactly once where the polygon passes it.
+    Only the straddling edges form a cross product.
+    """
     targets = np.atleast_2d(np.asarray(targets, float))
-    out = np.empty(targets.shape[0])
+    closed = np.concatenate([grid.points, grid.points[:1]])  # edge e: node e -> e + 1
+    y = np.ascontiguousarray(closed[:, 1])
+    out = np.zeros(targets.shape[0], dtype=np.intp)
     for rows in _row_chunks(targets.shape[0], grid.size):
-        v = grid.points[None, :, :] - targets[rows, None, :]
-        w = np.roll(v, -1, axis=1)
-        cross = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-        dot = np.einsum("ijk,ijk->ij", v, w)
-        out[rows] = np.sum(np.arctan2(cross, dot), axis=1) / (2 * np.pi)
+        tx, ty = targets[rows, 0], targets[rows, 1]
+        above = y > ty[:, None]
+        # flat indices: a 2-D nonzero is ~20x slower than a 1-D one
+        i, e = np.divmod(np.flatnonzero(above[:, :-1] != above[:, 1:]), grid.size)
+        upward = above[i, e + 1]
+        dx0, dy0 = closed[e, 0] - tx[i], closed[e, 1] - ty[i]
+        dx1, dy1 = closed[e + 1, 0] - tx[i], closed[e + 1, 1] - ty[i]
+        cross = dx0 * dy1 - dy0 * dx1  # > 0: the target is left of the edge
+        n = tx.shape[0]
+        out[rows] = (np.bincount(i[upward & (cross > 0)], minlength=n)
+                     - np.bincount(i[~upward & (cross < 0)], minlength=n))
     return out
 
 
@@ -219,10 +238,14 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     """Heuristic well-separated interior points for harmonic spot checks.
 
     Candidates are boundary nodes pulled toward the node centroid and
-    nodes offset along the inward normal; candidates outside the domain
-    (winding number != 1) or too close to the boundary are dropped, and
-    the deepest survivors (farthest from their nearest node) win.
+    nodes offset along the inward normal; candidates whose winding number
+    (an exact integer) is not 1 are dropped, and the deepest survivors
+    (farthest from their nearest node) win.  `count` must be a positive
+    whole number; fewer points come back when fewer candidates are inside.
     """
+    if not (isinstance(count, numbers.Real) and float(count).is_integer() and count >= 1):
+        raise ValueError(f"count must be a positive whole number, got {count!r}")
+    count = int(count)
     pts = grid.points
     c = pts.mean(axis=0)
     scale = np.max(np.linalg.norm(pts - c, axis=1))
@@ -233,8 +256,7 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     cands += [seeds - d * scale * normals for d in (0.02, 0.05, 0.1)]
     cands = np.concatenate(cands, axis=0)
 
-    inside = np.abs(winding_number(grid, cands) - 1.0) < 1e-6
-    cands = cands[inside]
+    cands = cands[winding_number(grid, cands) == 1]
     if cands.shape[0] == 0:
         raise ValueError("no interior probe points found; geometry too thin?")
     from scipy.spatial import cKDTree  # only here, so that discretizing does not load it
@@ -243,10 +265,21 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     return cands[order[:count]]
 
 
+def log_distance(points, source):
+    """log|z - source| at each of the (n, 2) points z: the harmonic field
+    whose boundary values `harmonic_trace` gives."""
+    source = np.asarray(source, float)
+    dx = points[:, 0] - source[0]
+    dy = points[:, 1] - source[1]
+    r = dx * dx
+    r += dy * dy
+    np.sqrt(r, out=r)
+    return np.log(r, out=r)
+
+
 def harmonic_trace(grid: QuadratureGrid, source):
     """Boundary values of u(x) = log|x - source| (source outside the domain)."""
-    source = np.asarray(source, float)
-    return np.log(np.linalg.norm(grid.points - source[None, :], axis=1))
+    return log_distance(grid.points, source)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hbsolve as hb
 from hbsolve import quadrature as quad
@@ -44,6 +47,27 @@ def test_build_grid_reference_node_counts():
     s = hb.Snake()
     grid = hb.build_grid(s, hb.decompose(s, 10, 4), 25)
     assert grid.nodes_per_panel == 25
+
+
+@pytest.mark.parametrize("contour, base, levels", [
+    (hb.UnitCircle(), 16, 0), (hb.SmoothStar(), 40, 0), (hb.CornerStar(), 4, 20),
+    (hb.Snake(), 6, 4)], ids=["unit_circle", "smooth_star", "corner_star", "snake"])
+def test_build_grid_fields_match_the_contour_formulas(contour, base, levels):
+    panels = hb.decompose(contour, base, levels)
+    grid = hb.build_grid(contour, panels, 12)
+    t = grid.t
+    d, dd = contour.derivative(t), contour.second_derivative(t)
+    s = np.hypot(d[:, 0], d[:, 1])
+    _, wg = quad.gauss_legendre(12)
+    w_ref = (0.5 * np.diff(panels.panels, axis=1) * wg[None, :]).ravel()
+    assert np.array_equal(grid.points, contour.position(t))
+    assert np.array_equal(grid.normals, np.stack([d[:, 1] / s, -d[:, 0] / s], axis=-1))
+    assert np.array_equal(grid.weights, w_ref * s)
+    assert np.array_equal(grid.curvature, (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / s**3)
+    # the per-method values are the same formulas
+    assert np.array_equal(contour.normal(t), grid.normals)
+    assert np.array_equal(contour.speed(t), s)
+    assert np.array_equal(contour.curvature(t), grid.curvature)
 
 
 def test_build_grid_rejects_single_node_panels():
@@ -152,10 +176,75 @@ def test_dense_matvec_streams_match(monkeypatch):
 def test_winding_number_and_probes():
     grid = star_grid(40, 10)
     w = quad.winding_number(grid, [[0.0, 0.0], [5.0, 0.0]])
-    assert np.allclose(w, [1.0, 0.0], atol=1e-8)
+    assert w.dtype.kind == "i" and np.array_equal(w, [1, 0])
     z = quad.interior_probe_points(grid, count=7)
     assert z.shape == (7, 2)
-    assert np.allclose(quad.winding_number(grid, z), 1.0, atol=1e-8)
+    assert np.array_equal(quad.winding_number(grid, z), np.ones(7))
+
+
+def _arctan2_winding(points, targets):
+    """Reference: the signed angle the node polygon sweeps around each
+    target, summed over its edges, in turns (a float)."""
+    v = points[None, :, :] - targets[:, None, :]
+    w = np.roll(v, -1, axis=1)
+    return np.sum(np.arctan2(v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0],
+                             np.einsum("ijk,ijk->ij", v, w)), axis=1) / (2 * np.pi)
+
+
+_WINDING_CONTOURS = st.one_of(
+    st.builds(lambda arms, amp: (hb.SmoothStar(arms, amp), 24, 0),
+              st.integers(1, 8), st.floats(0.05, 0.6)),
+    st.builds(lambda seg, r0, r1: (hb.CornerStar(seg, (r0, r1)), 2, 4),
+              st.sampled_from([4, 6, 10]), st.floats(0.7, 1.0), st.floats(1.0, 1.3)),
+    st.builds(lambda waves, amp, gap: (hb.Snake(waves, amp, gap), 4, 3),
+              st.integers(1, 3), st.floats(0.3, 1.5), st.floats(0.1, 0.5)),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_WINDING_CONTOURS, st.integers(0, 2**32 - 1))
+def test_winding_number_is_the_rounded_angle_sum(case, seed):
+    contour, base, levels = case
+    grid = hb.build_grid(contour, hb.decompose(contour, base, levels), 8)
+    rng = np.random.default_rng(seed)
+    lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
+    pad = 0.2 * (hi - lo)
+    # targets anywhere in the box, and just off the nodes on either side
+    near = rng.choice(grid.size, 60)
+    offset = rng.uniform(-0.02, 0.02, (60, 1)) * np.max(hi - lo)
+    targets = np.concatenate([rng.uniform(lo - pad, hi + pad, (60, 2)),
+                              grid.points[near] + offset * grid.normals[near]])
+    ref = _arctan2_winding(grid.points, targets)
+    whole = np.abs(ref - np.rint(ref)) < 1e-6
+    assert whole.mean() > 0.9
+    assert np.array_equal(quad.winding_number(grid, targets)[whole], np.rint(ref[whole]))
+
+
+def test_winding_number_edge_cases():
+    grid = circle_grid(16, 10)
+    pts = grid.points
+    # the ray from a target at a node's own y runs through that node (the
+    # top and the bottom pair of nodes share a y, so (0, y) is on the polygon)
+    right = pts[(pts[:, 0] > 0) & (np.abs(pts[:, 1]) < 0.99)]
+    level = np.column_stack([np.zeros(len(right)), right[:, 1]])
+    assert np.array_equal(quad.winding_number(grid, level), np.ones(len(right)))
+    # and outside on either side of the polygon at a node's y, or far away
+    for x in (-2.0, 2.0):
+        beside = np.column_stack([np.full(grid.size, x), pts[:, 1]])
+        assert np.array_equal(quad.winding_number(grid, beside), np.zeros(grid.size))
+    assert np.array_equal(quad.winding_number(grid, [[1e6, -3e5], [0.0, 1e9]]), [0, 0])
+    # the same polygon traversed clockwise
+    reverse = dataclasses.replace(grid, points=pts[::-1].copy())
+    assert np.array_equal(quad.winding_number(reverse, [[0.0, 0.0], [0.3, -0.2], [5.0, 0.0]]),
+                          [-1, -1, 0])
+
+
+@pytest.mark.parametrize("count", [0, 2.5, -1])
+def test_probe_points_reject_a_bad_count(count):
+    c = hb.SmoothStar()
+    grid = hb.build_grid(c, hb.decompose(c, 40, 0), 10)  # 400 nodes, 2400 candidates
+    with pytest.raises(ValueError, match="count"):
+        quad.interior_probe_points(grid, count)
 
 
 def test_probe_points_match_the_unchunked_formula():
@@ -175,11 +264,23 @@ def test_probe_points_match_the_unchunked_formula():
     w = np.roll(v, -1, axis=1)
     winding = np.sum(np.arctan2(v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0],
                                 np.einsum("ijk,ijk->ij", v, w)), axis=1) / (2 * np.pi)
-    assert np.array_equal(quad.winding_number(grid, cands), winding)
+    assert np.all(np.abs(winding - np.rint(winding)) < 1e-6)
+    assert np.array_equal(quad.winding_number(grid, cands), np.rint(winding))
     cands = cands[np.abs(winding - 1.0) < 1e-6]
     dist = np.min(np.linalg.norm(cands[:, None, :] - pts[None, :, :], axis=2), axis=1)
     assert np.array_equal(quad.interior_probe_points(grid, count),
                           cands[np.argsort(-dist)[:count]])
+
+
+@pytest.mark.parametrize("contour, base, levels", [
+    (hb.SmoothStar(), 40, 0), (hb.CornerStar(), 4, 20), (hb.Snake(), 6, 4)],
+    ids=["smooth_star", "corner_star", "snake"])
+def test_harmonic_trace_is_the_log_of_the_norm(contour, base, levels):
+    grid = hb.build_grid(contour, hb.decompose(contour, base, levels), 12)
+    for source in [(3.0, 0.0), (0.5, 2.5), (-40.0, 7.25), (1e-3, -12.0)]:
+        exact = np.log(np.linalg.norm(grid.points - np.array(source), axis=1))
+        assert np.array_equal(quad.harmonic_trace(grid, source), exact)
+        assert np.array_equal(quad.harmonic_trace(grid, np.array(source)), exact)
 
 
 def test_grid_csv_roundtrip(tmp_path):
