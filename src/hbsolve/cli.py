@@ -8,7 +8,6 @@ loads.  Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -17,6 +16,11 @@ import sys
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the scaling sweep: timed passes per size, their stages, and the block's columns
+REPEATS = 3
+STAGES = ("compress", "invert", "apply", "apply_block")
+SWEEP_COLUMNS = 32
 
 
 def _positive_float(text):
@@ -88,12 +92,12 @@ def build_parser():
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("benchmark", help="timing/accuracy sweep over problem sizes")
+    p = sub.add_parser("benchmark", help="timing/accuracy sweep over problem sizes -> JSON")
     p.add_argument("--geometry", choices=("smooth_star", "corner_star", "snake"),
                    default="smooth_star")
     p.add_argument("--sizes", default="10000,20000,40000",
                    help="comma-separated target N values")
-    p.add_argument("-o", "--output", default="benchmark.csv")
+    p.add_argument("-o", "--output", default="benchmark.json", help="scaling record JSON")
     p.add_argument("--nodes-per-panel", type=_positive_int, default=10)
     p.add_argument("--corner-levels", type=int, default=None,
                    help="corner refinement levels (default 5 for cornered shapes)")
@@ -143,8 +147,6 @@ def _config_from(args):
 
 
 def cmd_solve(args):
-    import numpy as np
-
     from . import quadrature
     from .compression import solve_workflow
 
@@ -153,12 +155,8 @@ def cmd_solve(args):
     cfg = _config_from(args)
     q, report = solve_workflow(grid, cfg, rhs,
                                estimate_error=args.estimate_error, seed=args.seed)
-
     if source is not None:
-        targets = quadrature.interior_probe_points(grid, count=10)
-        u = quadrature.eval_dlp_potential(grid, q, targets)
-        exact = quadrature.log_distance(targets, source)
-        report["interior_error"] = float(f"{np.max(np.abs(u - exact)):.3g}")
+        report["interior_error"] = float(f"{quadrature.interior_error(grid, q, source):.3g}")
 
     with open(args.output, "w") as f:
         f.writelines(" ".join(f"{v:.17g}" for v in row) + "\n"
@@ -190,41 +188,87 @@ def _benchmark_setup(geometry, n_target, nodes_per_panel, corner_levels):
     return contour, max(1, base), levels
 
 
-def cmd_benchmark(args):
+def scaling_sweep(geometry, sizes, nodes_per_panel, corner_levels, cfg, seed):
+    """Run compress, hbs_invert, a one-column and a SWEEP_COLUMNS-column apply
+    REPEATS times per target size, print each size's stage medians (x: ratio
+    to the previous size) and return the JSON record.  The right-hand sides
+    are traces of log|x - s|, s on a circle about the node centroid at twice
+    the largest node distance."""
+    import platform
+    import time
+
+    import numpy as np
+    import scipy
+
     from . import geometry as geo
     from . import quadrature
-    from .compression import DENSE_MODE_GUARD, solve_workflow
+    from .compression import (_error_estimate, _rank_stats, _residual, _sig3,
+                              apply_inverse, compress, hbs_invert)
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    record = {
+        "schema_version": 1, "geometry": geometry, "nodes_per_panel": nodes_per_panel,
+        "corner_levels": None, **dataclasses.asdict(cfg), "seed": seed,
+        "repeats": REPEATS, "block_columns": SWEEP_COLUMNS,
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                    "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+                    "blas": {k: v for k, v in blas.items() if "directory" not in k}},
+        "sizes": [],
+    }
+    print(f"{'N':>8}" + "".join(f"{name:>12}" for name in STAGES) + f"{'residual':>10}")
+    prev = None
+    for n_target in sizes:
+        contour, base, levels = _benchmark_setup(geometry, n_target, nodes_per_panel, corner_levels)
+        grid = quadrature.build_grid(contour, geo.decompose(contour, base, levels), nodes_per_panel)
+        c = grid.points.mean(axis=0)
+        z = np.exp(2j * np.pi * np.arange(SWEEP_COLUMNS) / SWEEP_COLUMNS)
+        sources = c + 2 * np.max(np.linalg.norm(grid.points - c, axis=1)) * np.c_[z.real, z.imag]
+        F = np.column_stack([quadrature.harmonic_trace(grid, s) for s in sources])
+        runs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            A, _ = compress(grid, cfg)
+            t1 = time.perf_counter()
+            inv = hbs_invert(A)
+            t2 = time.perf_counter()
+            q = apply_inverse(inv, F[:, 0])
+            t3 = time.perf_counter()
+            Q = apply_inverse(inv, F)
+            runs.append((t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3))
+        n, medians, residual = grid.size, np.median(runs, axis=0), _residual(A, Q, F)
+        record["corner_levels"] = levels
+        record["sizes"].append({
+            "n": n, "levels": A.tree.levels,
+            "seconds": {name: {"median": _sig3(m), "min": _sig3(min(ts))}
+                        for name, m, ts in zip(STAGES, medians, zip(*runs))},
+            "storage_doubles_per_n": {"matrix": _sig3(A.storage_count() / n),
+                                      "inverse": _sig3(inv.storage_count() / n)},
+            "residual": _sig3(residual),
+            "interior_error": _sig3(quadrature.interior_error(grid, q, sources[0])),
+            "ranks": _rank_stats(A),
+            "error_estimate": _error_estimate(grid, A, inv, seed),
+        })
+        line = f"{n:>8}" + "".join(f"{m:>11.3g}s" for m in medians) + f"{residual:>10.1e}"
+        if prev is not None:
+            line += "   x" + ", x".join(f"{b / a:.2f}" for a, b in zip(prev, medians))
+        print(line)
+        prev = medians
+    return record
+
+
+def cmd_benchmark(args):
     try:
         sizes = [_positive_int(s) for s in args.sizes.split(",") if s.strip()]
     except (ValueError, argparse.ArgumentTypeError):
         sizes = []
     if not sizes:
         raise ValueError(f"--sizes needs comma-separated positive integers, got {args.sizes!r}")
-
-    rows = []
-    for n_target in sizes:
-        contour, base, levels = _benchmark_setup(
-            args.geometry, n_target, args.nodes_per_panel, args.corner_levels
-        )
-        panels = geo.decompose(contour, base, levels)
-        grid = quadrature.build_grid(contour, panels, args.nodes_per_panel)
-        rhs = quadrature.harmonic_trace(grid, (3.0, 0.0))
-        cfg = _config_from(args)
-        estimate = grid.size <= DENSE_MODE_GUARD
-        q, report = solve_workflow(grid, cfg, rhs,
-                                   estimate_error=estimate, seed=args.seed)
-        t = report["timings"]
-        est = report.get("error_estimate", {})
-        rows.append([grid.size, t["compress"], t["invert"], t["apply"],
-                     est.get("err_A", ""), est.get("norm_inv", "")])
-        print(f"N={grid.size}: compress {t['compress']}s, invert {t['invert']}s, "
-              f"apply {t['apply']}s")
-
-    with open(args.output, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["N", "t_compress", "t_invert", "t_apply", "err_A", "norm_inv"])
-        writer.writerows(rows)
+    record = scaling_sweep(args.geometry, sizes, args.nodes_per_panel, args.corner_levels,
+                           _config_from(args), args.seed)
+    with open(args.output, "w") as f:
+        json.dump(record, f, indent=2)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -232,7 +276,7 @@ def cmd_benchmark(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(args.threads)
     try:
         return args.func(args)

@@ -75,29 +75,17 @@ class Blocks(Mapping):
         return f"Blocks(nodes={sorted(self._views)})"
 
 
-def block_names(levels, tau, inverse):
-    """Names of node tau's blocks in a depth-`levels` HBS matrix or, if
-    `inverse`, its factored inverse, in the order that fixes the stacks'
-    order within a level (allocate_stacks, and so an HBS2 file's).  In a
-    matrix a leaf holds D, a non-root node U and V, and a parent B12 and
-    B21; a depth-0 root is a leaf and holds only D.  In an inverse a
-    non-root node holds E, F, G and Dhat, and the root G."""
-    if inverse:
-        return ("G",) if tau == 1 else ("E", "F", "G", "Dhat")
-    leaf = ("D",) if tau >> levels else ()
-    basis = ("U", "V") if tau > 1 else ()
-    pair = () if tau >> levels else ("B12", "B21")
-    return leaf + basis + pair
-
-
 def block_layout(tree, ranks, tau, inverse):
-    """Node tau's blocks as ((name, (rows, cols)), ...), in block_names
-    order, for the per-node ranks `ranks` ({node: k}; a missing rank reads
-    0).  With n the node's size at a leaf and its children's stacked ranks
-    k1 + k2 at a parent, and k its rank: D and G are n x n, U, V, E and F
-    n x k, Dhat k x k, B12 k1 x k2 and B21 k2 x k1.  This table is the one
-    source of every block's shape: the stacks, the checks and an HBS2 file's
-    length follow it."""
+    """Node tau's blocks as ((name, (rows, cols)), ...) in an HBS matrix over
+    `tree` or, if `inverse`, its factored inverse, for the per-node ranks
+    `ranks` ({node: k}; a missing rank reads 0).  A matrix's leaf holds D,
+    a non-root node U and V, a parent B12 and B21; an inverse's non-root
+    node holds E, F, G and Dhat, its root G.  With n the node's size at a
+    leaf and its children's stacked ranks k1 + k2 at a parent, and k its
+    rank: D and G are n x n, U, V, E and F n x k, Dhat k x k, B12 k1 x k2
+    and B21 k2 x k1.  This table is the one source of every block's name
+    and shape; its order of names fixes the order of a level's stacks
+    (allocate_stacks, and so an HBS2 file's)."""
     leaf = tau >> tree.levels
     if leaf:
         start, stop = tree.ranges[tau]
@@ -137,7 +125,7 @@ def block_ranks(tree, shapes):
     if sum(map(len, shapes.values())) > found:  # a block that no node's layout names
         errors += [f"node {tau}: unexpected {name}" for name, of in shapes.items()
                    for tau in of if tau not in range(1, tree.node_count + 1)
-                   or name not in block_names(tree.levels, tau, False)]
+                   or name not in dict(block_layout(tree, ranks, tau, False))]
     if errors:
         raise ValueError(f"malformed HBS matrix: {'; '.join(errors[:3])}")
     return ranks
@@ -152,8 +140,8 @@ def allocate_stacks(tree, ranks, inverse, levels):
     (len(nodes), rows, cols) array, all of them views of one buffer (which
     numpy backs with huge pages when it is large, so filling it faults few
     pages).  The buffer holds the levels in the order given, each level's
-    names in block_names order, and each name's stacks in turn.  A level's
-    nodes are sorted by their blocks' shapes, in block_names order, then by
+    names in block_layout order, and each name's stacks in turn.  A level's
+    nodes are sorted by their blocks' shapes, in block_layout order, then by
     number; every stack lists its nodes in that order, and a name's stacks
     follow the order of their first nodes.  So the stacks of a
     name whose shape is fixed by a prefix of that key (a leaf's D and an

@@ -151,6 +151,14 @@ def nystrom_block(grid: QuadratureGrid, rows, cols):
     return A
 
 
+def _row_panels(grid: QuadratureGrid):
+    """(rows, A(rows, :)) for each panel of DENSE_BLOCK_ROWS rows, in order."""
+    idx = np.arange(grid.size)
+    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
+        rows = idx[start : start + DENSE_BLOCK_ROWS]
+        yield rows, nystrom_block(grid, rows, idx)
+
+
 def assemble_dlp(grid: QuadratureGrid) -> np.ndarray:
     """Dense N x N Nystrom matrix for the double-layer equation, filled by
     row panels, so the peak is the matrix plus one panel's temporaries."""
@@ -158,35 +166,29 @@ def assemble_dlp(grid: QuadratureGrid) -> np.ndarray:
         raise ValueError("empty grid")
     if grid.panel_count < 2:
         raise ValueError("grid needs at least 2 panels")
-    idx = np.arange(grid.size)
     if grid.size <= DENSE_BLOCK_ROWS:  # one panel: return it, no second N x N copy
-        return nystrom_block(grid, idx, idx)
+        return next(_row_panels(grid))[1]
     A = np.empty((grid.size, grid.size))
-    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
-        panel = slice(start, start + DENSE_BLOCK_ROWS)
-        A[panel] = nystrom_block(grid, idx[panel], idx)
+    for rows, block in _row_panels(grid):
+        A[rows] = block
     return A
 
 
 def dense_matvec(grid: QuadratureGrid, q):
-    """A @ q assembled row-block by row-block; never stores the N x N matrix."""
+    """A @ q assembled row panel by row panel; never stores the N x N matrix."""
     q = np.asarray(q, float)
     out = np.empty_like(q)
-    idx = np.arange(grid.size)
-    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
-        rows = idx[start : start + DENSE_BLOCK_ROWS]
-        out[rows] = nystrom_block(grid, rows, idx) @ q
+    for rows, block in _row_panels(grid):
+        out[rows] = block @ q
     return out
 
 
 def dense_matvec_transpose(grid: QuadratureGrid, q):
-    """A.T @ q assembled column-block by column-block."""
+    """A.T @ q summed over the same row panels as dense_matvec."""
     q = np.asarray(q, float)
-    out = np.empty_like(q)
-    idx = np.arange(grid.size)
-    for start in range(0, grid.size, DENSE_BLOCK_ROWS):
-        cols = idx[start : start + DENSE_BLOCK_ROWS]
-        out[cols] = nystrom_block(grid, idx, cols).T @ q
+    out = np.zeros_like(q)
+    for rows, block in _row_panels(grid):
+        out += block.T @ q[rows]
     return out
 
 
@@ -265,6 +267,14 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     return cands[order[:count]]
 
 
+def interior_error(grid: QuadratureGrid, density, source):
+    """Largest error of the density's double-layer potential against
+    log|z - source| at 10 interior probe points."""
+    targets = interior_probe_points(grid, count=10)
+    u = eval_dlp_potential(grid, density, targets)
+    return float(np.max(np.abs(u - log_distance(targets, source))))
+
+
 def log_distance(points, source):
     """log|z - source| at each of the (n, 2) points z: the harmonic field
     whose boundary values `harmonic_trace` gives."""
@@ -328,9 +338,11 @@ def _curvature_from_panels(t, points, panel_of):
 
 
 def load_grid_csv(path) -> QuadratureGrid:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.ndim == 0:
-        data = data.reshape(1)
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    data = np.genfromtxt(lines, delimiter=",", names=True).reshape(-1) if lines else ()
+    if len(data) == 0:  # genfromtxt fails on no lines and reads a header alone as 0 rows
+        raise ValueError(f"{path}: no data rows")
     for name in GRID_CSV_FIELDS:
         bad = np.flatnonzero(~np.isfinite(data[name]))
         if bad.size:

@@ -4,7 +4,7 @@ An HBS2 file is little-endian: a 16-byte header (magic "HBS2", u32 kind, 0 for
 a matrix or 1 for an inverse, u32 N, u32 levels); the ranks of nodes 2 to
 2^(levels+1) - 1 as one u32 array (a matrix's U column counts, its inverse's
 Dhat orders); then every stack's float64 data in hbs.allocate_stacks order:
-level 0 to levels, in a level the names in hbs.block_names order, each name's
+level 0 to levels, in a level the names in hbs.block_layout order, each name's
 stacks in bucket order.  Before it allocates, `load` raises ValueError on a
 file cut short (naming the part and byte offset) or too long, a bad magic
 (HBS1 files are not read), an unknown kind, a depth that N cannot fill, or
@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .hbs import HbsMatrix, allocate_stacks, block_layout, block_names, nonfinite_blocks
+from .hbs import HbsMatrix, allocate_stacks, block_layout, nonfinite_blocks
 from .inversion import HbsInverse
 from .tree import tree_with_levels
 
@@ -34,8 +34,8 @@ def _stacks(obj, inverse):
     be little-endian."""
     if sys.byteorder != "little":
         raise ValueError(f"HBS2 files are little-endian: a {sys.byteorder}-endian host is refused")
-    levels = obj.tree.levels
-    return [S for level in range(levels + 1) for name in block_names(levels, 1 << level, inverse)
+    return [S for level in range(obj.tree.levels + 1)
+            for name, _ in block_layout(obj.tree, {}, 1 << level, inverse)
             for _, S in obj.stacks[name].get(level, ())]
 
 

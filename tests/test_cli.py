@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -189,19 +190,34 @@ def test_non_finite_solution_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_benchmark_small_sizes(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
+    out = tmp_path / "bench.json"
     code = cli.main(["benchmark", "--geometry", "smooth_star",
-                     "--sizes", "300,600", "-o", out])
+                     "--sizes", "300,600", "-o", str(out)])
     assert code == 0
-    lines = open(out).read().splitlines()
-    assert lines[0] == "N,t_compress,t_invert,t_apply,err_A,norm_inv"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        n, tc, ti, ta, err_a, norm_inv = line.split(",")
-        assert int(n) >= 300
-        assert all(float(v) >= 0 for v in (tc, ti, ta))
-        # small sizes fit under the dense guard, so error columns are filled
-        assert float(err_a) < 1e-6 and float(norm_inv) > 0
+    record = json.loads(out.read_text())
+    assert record["schema_version"] == 1
+    assert set(record) == {"schema_version", "geometry", "nodes_per_panel", "corner_levels",
+                           *(f.name for f in dataclasses.fields(hb.CompressionConfig)),
+                           "seed", "repeats", "block_columns", "machine", "sizes"}
+    assert (record["repeats"], record["block_columns"]) == (cli.REPEATS, 32)
+    assert set(record["machine"]) == {"platform", "cpus", "python", "numpy", "scipy",
+                                      "threads", "blas"}
+    assert set(record["machine"]["threads"]) == set(cli.THREAD_VARS)
+    assert [row["n"] for row in record["sizes"]] == [300, 600]
+    for row in record["sizes"]:
+        assert set(row) == {"n", "levels", "seconds", "storage_doubles_per_n", "residual",
+                            "interior_error", "ranks", "error_estimate"}
+        assert list(row["seconds"]) == ["compress", "invert", "apply", "apply_block"]
+        for stage in row["seconds"].values():
+            assert stage["median"] >= stage["min"] > 0
+        assert set(row["storage_doubles_per_n"]) == {"matrix", "inverse"}
+        assert all(v > 0 for v in row["storage_doubles_per_n"].values())
+        assert row["residual"] < 1e-8
+        assert row["interior_error"] < 1e-8
+        assert len(row["ranks"]) == row["levels"]
+        # small sizes fit under the dense guard, so the estimate is the power bound
+        assert row["error_estimate"]["method"] == "power"
+        assert row["error_estimate"]["err_A"] < 1e-6 and row["error_estimate"]["norm_inv"] > 0
     assert "wrote" in capsys.readouterr().out
 
 
@@ -252,6 +268,15 @@ def test_solve_grid_with_inf_coordinate_exits_2(tmp_path, capsys):
     assert cli.main(["solve", grid_path, "harmonic:3,0",
                      "-o", str(tmp_path / "q.csv")]) == 2
     assert "non-finite or unreadable 'x' in data row 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "t,x,y,nx,ny,w,panel\n"])
+def test_solve_grid_without_data_rows_exits_2(tmp_path, capsys, text):
+    grid_path = tmp_path / "blank.csv"
+    grid_path.write_text(text)
+    assert cli.main(["solve", str(grid_path), "harmonic:3,0",
+                     "-o", str(tmp_path / "q.csv")]) == 2
+    assert f"{grid_path}: no data rows" in capsys.readouterr().err
 
 
 def test_solve_multi_column_rhs_matches_column_solves(tmp_path):

@@ -1,7 +1,9 @@
 """Demos 01-04 run to completion, each in its own process.
 
-Demo 05 times compression, inversion and the apply at sizes up to
-N = 40 000, which takes minutes, so it stays out of the test suite.
+Demo 05 only calls `hbsolve benchmark`'s scaling sweep (cli.scaling_sweep)
+up to N = 40 000, 3 timed passes per size: 14 s on one BLAS thread of a
+2-core VM, and longer with more threads on a busy machine.  It stays out of
+the suite; test_cli and test_bench_files run the same sweep at small sizes.
 """
 
 import os

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import hbsolve as hb
-from hbsolve.hbs import block_names
+from hbsolve.hbs import block_layout
 from hbsolve.inversion import apply_inverse, hbs_invert
 from hbsolve import serialization
 from hbsolve.serialization import HBS_MAGIC, load, save_hbs, save_inverse
+from hbsolve.tree import tree_with_levels
 from conftest import depth_zero_hbs, random_hbs
 
 
@@ -102,16 +103,16 @@ def test_header_records_shape(tmp_path, rng):
 
 
 def test_record_blocks_keep_their_order():
-    # each node's blocks in block_names order, which fixes the order of a
+    # each node's blocks in block_layout order, which fixes the order of a
     # level's stacks and so of an HBS2 file's data (module docstring)
     def names(levels, tau, inverse=False):
-        return list(block_names(levels, tau, inverse))
+        return [name for name, _ in block_layout(tree_with_levels(8, levels), {}, tau, inverse)]
 
     assert names(0, 1) == ["D"]
     assert names(2, 4) == names(2, 7) == ["D", "U", "V"]
     assert names(2, 2) == ["U", "V", "B12", "B21"]
     assert names(2, 1) == ["B12", "B21"]
-    assert names(2, 2, True) == names(0, 2, True) == ["E", "F", "G", "Dhat"]
+    assert names(2, 2, True) == names(2, 4, True) == ["E", "F", "G", "Dhat"]
     assert names(2, 1, True) == names(0, 1, True) == ["G"]
 
 
