@@ -131,6 +131,9 @@ def _load_rhs(spec, grid):
         except ValueError:
             raise ValueError(f"bad harmonic rhs spec {spec!r}; expected harmonic:X,Y")
         source = np.array([x0, y0])
+        if quadrature.winding_number(grid, source)[0] != 0:  # log|x - s| is not harmonic inside
+            raise ValueError(f"harmonic source ({x0:g}, {y0:g}) lies inside the contour; "
+                             f"it must lie outside")
         return quadrature.harmonic_trace(grid, source), source
     rhs = np.loadtxt(spec, ndmin=2)  # one column per right-hand side
     if rhs.shape[0] != grid.size:

@@ -13,23 +13,21 @@ the far field with a small ring of proxy points: the harmonic far field
 of a source cluster is reproduced by monopole charges on a circle around
 it, so a node's interaction with everything outside its proxy circle is
 captured by log-kernel columns against that ring.  Only near-field
-entries (points of other nodes inside the circle, found with one k-d tree
-query per level and side) are evaluated directly, which keeps the total
-cost O(N).
+entries (points of other nodes inside the circle, found by one cell search
+over the level's active points per level and side) are evaluated directly,
+which keeps the total cost O(N).
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import quadrature as quad
 from .config import CompressionConfig
-from .hbs import HbsMatrix, allocate_stacks, as_real, block_views, hbs_matvec
+from .hbs import HbsMatrix, _ranges, allocate_stacks, as_real, block_views, hbs_matvec
 # inverse_to_hbs stays importable here: perfbench's tracer wraps compression.inverse_to_hbs
 from .inversion import apply_inverse, hbs_invert, inverse_to_hbs  # noqa: F401
 from .lowrank import id_row
@@ -189,20 +187,11 @@ class _ProxySampler:
         r2 = np.maximum.reduceat(d[:, 0] ** 2 + d[:, 1] ** 2, starts)
         radii = self.cfg.proxy_radius_factor * np.maximum(np.sqrt(r2), 1e-8)
         rings = centers[:, None, :] + radii[:, None, None] * self.unit_ring
-        return (rings, self._near(nodes, active_r, centers, radii),
-                self._near(nodes, active_c, centers, radii))
-
-    def _near(self, nodes, active, centers, radii):
-        """One k-d query for the whole level, split into per-node lists."""
-        idx = np.concatenate([active[tau] for tau in nodes])
-        owner = np.repeat(np.arange(len(nodes)), [len(active[tau]) for tau in nodes])
-        hits = cKDTree(self.grid.points[idx]).query_ball_point(centers, radii)
-        counts = np.fromiter(map(len, hits), np.intp, len(hits))
-        flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
-        query = np.repeat(np.arange(len(nodes)), counts)
-        keep = owner[flat] != query
-        per_node = np.bincount(query[keep], minlength=len(nodes))
-        return np.split(idx[flat[keep]], np.cumsum(per_node)[:-1])
+        near_r = _near(self.grid.points, [active_r[tau] for tau in nodes], centers, radii)
+        if all(active_c[tau] is active_r[tau] for tau in nodes):  # leaves: one search
+            return rings, near_r, near_r
+        return rings, near_r, _near(self.grid.points, [active_c[tau] for tau in nodes],
+                                    centers, radii)
 
     def sample(self, level, tau, active_r, active_c, ctx):
         rings, near_r, near_c = ctx
@@ -216,6 +205,44 @@ class _ProxySampler:
             self.kernel.col_proxy(active_c, rings[i]),
         ])
         return R, C
+
+
+def _near(points, groups, centers, radii):
+    """For each ring i (centers[i], radii[i]), the indices of the other
+    groups' points p with |p - center|^2 <= radius^2, in the order of
+    concatenate(groups).
+
+    A fixed-radius cell search: the points are binned into square cells
+    whose side is the largest radius, so a ring's hits lie in the 3 x 3
+    block of cells around its centre's.  Keys sort the cells column by
+    column, so each of the block's three columns is one run of the sorted
+    points, found by two binary searches.  The side is a hair above the
+    largest radius, so that rounding in the binning cannot push a point at
+    exactly that radius out of the block, and at least 2^-20 of the
+    cloud's span, so that the keys stay small."""
+    idx = np.concatenate(groups)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    pts = points[idx]
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    side = max(radii.max(), np.max(high - low) * 2**-20) * (1 + 2**-20)
+    cells = np.floor((pts - low) / side).astype(np.intp)
+    height = cells[:, 1].max() + 1
+    keys = cells[:, 0] * height + cells[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    at = np.floor((centers - low) / side).astype(np.intp)
+    columns = (at[:, :1] + (-1, 0, 1)) * height
+    first = np.searchsorted(keys, columns + np.maximum(at[:, 1:] - 1, 0))
+    last = np.searchsorted(keys, columns + np.minimum(at[:, 1:] + 1, height - 1), side="right")
+    counts = np.maximum(last - first, 0).ravel()
+    ring = np.repeat(np.arange(3 * len(groups)) // 3, counts)
+    cand = order[_ranges(first.ravel(), counts)]
+    d = pts[cand] - centers[ring]
+    keep = (d[:, 0] ** 2 + d[:, 1] ** 2 <= radii[ring] ** 2) & (owner[cand] != ring)
+    # ascending (ring, position in idx)
+    hits = np.sort(ring[keep] * idx.size + cand[keep])
+    per_ring = np.bincount(ring[keep], minlength=len(groups))
+    return np.split(idx[hits % idx.size], np.cumsum(per_ring)[:-1])
 
 
 def _guard_dense(n):

@@ -16,7 +16,8 @@ class CompressionConfig:
     # faster, but then the inverse apply outgrows the last-level cache
     # between N = 20k and 40k: there criterion 8's apply ratio read
     # x2.23-x2.65 over 10 runs at 128 (2 above its bound of 2.6), and
-    # x1.83-x2.57 over 20 runs at 64
+    # x1.83-x2.57 over 20 runs at 64.  128 also costs accuracy: perfbench's
+    # interior_digits fell 0.2-0.8 (star-40k 10.93 -> 10.51 at seed 1)
     target_leaf: int = 64
     # dense mode needs the N x N matrix (N <= DENSE_MODE_GUARD); it stays the
     # oracle that proxy mode is checked against

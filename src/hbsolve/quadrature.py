@@ -261,9 +261,13 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     cands = cands[winding_number(grid, cands) == 1]
     if cands.shape[0] == 0:
         raise ValueError("no interior probe points found; geometry too thin?")
-    from scipy.spatial import cKDTree  # only here, so that discretizing does not load it
-
-    order = np.argsort(-cKDTree(pts).query(cands)[0])
+    # each candidate's clearance: its squared distance to the nearest node,
+    # an exact minimum over all nodes; ranked by the distance, not its square,
+    # so that squares which round to one distance tie as equal distances
+    clearance = np.empty(cands.shape[0])
+    for rows in _row_chunks(cands.shape[0], grid.size):
+        clearance[rows] = _differences(cands[rows], pts)[2].min(axis=1)
+    order = np.argsort(-np.sqrt(clearance))
     return cands[order[:count]]
 
 
@@ -297,6 +301,8 @@ def harmonic_trace(grid: QuadratureGrid, source):
 # ---------------------------------------------------------------------------
 
 GRID_CSV_FIELDS = ("t", "x", "y", "nx", "ny", "w", "panel")
+# build_grid writes unit normals to 17 digits; a loaded normal may be off by this
+UNIT_NORMAL_TOL = 1e-8
 
 
 def save_grid_csv(path, grid: QuadratureGrid):
@@ -347,6 +353,12 @@ def load_grid_csv(path) -> QuadratureGrid:
         bad = np.flatnonzero(~np.isfinite(data[name]))
         if bad.size:
             raise ValueError(f"{path}: non-finite or unreadable {name!r} in data row {bad[0] + 1}")
+    length = np.hypot(data["nx"], data["ny"])
+    for field, bad, rule in (("'w'", data["w"] <= 0, "weights must be positive"),
+                             ("'nx', 'ny'", np.abs(length - 1) > UNIT_NORMAL_TOL,
+                              "normals must have unit length")):
+        if bad.any():
+            raise ValueError(f"{path}: bad {field} in data row {np.argmax(bad) + 1}: {rule}")
     t = data["t"]
     points = np.stack([data["x"], data["y"]], axis=-1)
     panel_of = data["panel"].astype(int)

@@ -353,3 +353,38 @@ def test_threads_must_be_a_positive_integer(monkeypatch, capsys, threads):
     assert all(os.environ[var] == "1"
                for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
     assert cli.build_parser().parse_args(["solve", "g", "r", "--threads", "3"]).threads == 3
+
+
+def _doubled(value):
+    return repr(2 * float(value))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({5: lambda w: "-1"}, "bad 'w' in data row 3: weights must be positive"),
+    ({5: lambda w: "0"}, "bad 'w' in data row 3: weights must be positive"),
+    ({3: _doubled, 4: _doubled}, "bad 'nx', 'ny' in data row 3: normals must have unit length"),
+], ids=["negative-weight", "zero-weight", "doubled-normal"])
+def test_solve_grid_with_bad_weight_or_normal_exits_2(tmp_path, capsys, edit, message):
+    # each edit used to solve with exit 0 and lose 4-9 digits of interior accuracy
+    grid_path = discretize(tmp_path, kind="smooth_star", panels_per_unit=40)
+    lines = open(grid_path).read().splitlines()
+    assert len(lines) == 1 + 400
+    fields = lines[3].split(",")
+    for i, change in edit.items():
+        fields[i] = change(fields[i])
+    lines[3] = ",".join(fields)
+    open(grid_path, "w").write("\n".join(lines) + "\n")
+    sol = tmp_path / "q.csv"
+    assert cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(sol)]) == 2
+    assert f"{grid_path}: {message}" in capsys.readouterr().err
+    assert not sol.exists()
+
+
+def test_solve_harmonic_source_inside_the_contour_exits_2(tmp_path, capsys):
+    # log|x - s| is not harmonic inside the contour when s is: the solve's
+    # interior error would compare against a field it cannot represent
+    grid_path = discretize(tmp_path, kind="smooth_star", panels_per_unit=40)
+    sol = tmp_path / "q.csv"
+    assert cli.main(["solve", grid_path, "harmonic:0.1,-0.2", "-o", str(sol)]) == 2
+    assert "harmonic source (0.1, -0.2) lies inside the contour" in capsys.readouterr().err
+    assert not sol.exists()

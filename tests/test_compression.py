@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hbsolve as hb
 from hbsolve import compression
@@ -364,7 +369,7 @@ def _decompose_grid(contour, panels, corner_levels):
        st.sampled_from([16, 32, 64]))
 def test_level_near_fields_match_brute_force(grid, leaf):
     # every level of a proxy compression: the rings enclose their node's
-    # active points, and one k-d query per level and side gives each node
+    # active points, and one cell search per level and side gives each node
     # exactly the other nodes' active points inside its ring
     seen = []
 
@@ -398,3 +403,71 @@ def test_level_near_fields_match_brute_force(grid, leaf):
                 assert np.all(np.isin(others[dist <= radius * (1 - 1e-12)], near))
                 assert np.all(np.isin(near, others[dist <= radius * (1 + 1e-12)]))
                 assert len(np.unique(near)) == len(near)
+
+
+def _near_by_scan(points, groups, centers, radii):
+    """compression._near by a scan of every point for every ring."""
+    idx = np.concatenate(groups)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    dx = points[idx, 0] - centers[:, :1]
+    dy = points[idx, 1] - centers[:, 1:]
+    inside = (dx * dx + dy * dy <= (radii * radii)[:, None]) & (owner != np.arange(len(groups))[:, None])
+    return [idx[row] for row in inside]
+
+
+@st.composite
+def near_cases(draw):
+    """A cloud with duplicate points split into groups, one ring per group:
+    centres on, near and far outside the cloud; radii random, equal or
+    tiny; and for each ring a point at exactly its radius along an axis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    pool = scale * rng.uniform(-1, 1, (draw(st.integers(1, 30)), 2))
+    k = draw(st.integers(1, 6))
+    where = draw(st.lists(st.sampled_from(["point", "near", "far"]), min_size=k, max_size=k))
+    centers = np.array([pool[rng.integers(len(pool))] if w == "point"
+                        else scale * rng.uniform(-1.5, 1.5, 2) if w == "near"
+                        else scale * rng.choice([-1, 1], 2) * rng.uniform(10, 1e6, 2)
+                        for w in where])
+    radii = {"random": lambda: scale * rng.uniform(1e-3, 2, k),
+             "equal": lambda: np.full(k, scale * rng.uniform(1e-3, 2)),
+             "tiny": lambda: scale * 1e-13 * rng.uniform(1, 2, k)}[
+        draw(st.sampled_from(["random", "equal", "tiny"]))]()
+    axis = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])[rng.integers(4, size=k)]
+    points = np.concatenate([pool[rng.integers(len(pool), size=draw(st.integers(0, 60)))],
+                             centers + radii[:, None] * axis])
+    cuts = np.sort(rng.integers(0, len(points) + 1, k - 1))
+    return points, np.split(rng.permutation(len(points)), cuts), centers, radii
+
+
+@settings(deadline=None, max_examples=200)
+@given(near_cases())
+# the point (2, 0) is at distance 1 + 2^-53, which rounds to 1, from ring 0's
+# centre; binned by side 1 from x = 0, it lies two cells from the centre's
+@example((np.array([[0.0, 0.0], [2.0, 0.0]]), [np.array([0]), np.array([1])],
+          np.array([[1 - 2**-53, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])))
+def test_near_matches_a_scan(case):
+    points, groups, centers, radii = case
+    got = compression._near(points, groups, centers, radii)
+    want = _near_by_scan(points, groups, centers, radii)
+    assert len(got) == len(want) == len(groups)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)  # order included
+
+
+def test_solve_loads_neither_scipy_spatial_nor_sparse():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    code = ("import sys\n"
+            "import hbsolve as hb\n"
+            "c = hb.SmoothStar()\n"
+            "grid = hb.build_grid(c, hb.decompose(c, 40, 0), 10)\n"
+            "hb.compress(grid, hb.CompressionConfig(target_leaf=32))\n"
+            "hb.interior_probe_points(grid)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.spatial', 'scipy.sparse'))))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
