@@ -205,8 +205,8 @@ def scaling_sweep(geometry, sizes, nodes_per_panel, corner_levels, cfg, seed):
 
     from . import geometry as geo
     from . import quadrature
-    from .compression import (_error_estimate, _rank_stats, _residual, _sig3,
-                              apply_inverse, compress, hbs_invert)
+    from .compression import _rank_stats, _residual, apply_inverse, compress, hbs_invert
+    from .diagnostics import _sig3, error_estimate
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
@@ -251,7 +251,7 @@ def scaling_sweep(geometry, sizes, nodes_per_panel, corner_levels, cfg, seed):
             "residual": _sig3(residual),
             "interior_error": _sig3(quadrature.interior_error(grid, q, sources[0])),
             "ranks": _rank_stats(A),
-            "error_estimate": _error_estimate(grid, A, inv, seed),
+            "error_estimate": error_estimate(grid, A, inv, seed),
         })
         line = f"{n:>8}" + "".join(f"{m:>11.3g}s" for m in medians) + f"{residual:>10.1e}"
         if prev is not None:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .config import CompressionConfig
+from .diagnostics import _sig3, error_estimate
 from .hbs import HbsMatrix, _ranges, allocate_stacks, as_real, block_views, hbs_matvec
 # inverse_to_hbs stays importable here: perfbench's tracer wraps compression.inverse_to_hbs
 from .inversion import apply_inverse, hbs_invert, inverse_to_hbs  # noqa: F401
@@ -290,10 +291,6 @@ def _rank_stats(A: HbsMatrix):
     return stats
 
 
-def _sig3(x):
-    return float(f"{x:.3g}")
-
-
 def _residual(A: HbsMatrix, q, rhs):
     """Largest column-wise ||A q - f|| / ||f|| over (N,) or (N, m) input;
     a zero column counts 0."""
@@ -312,14 +309,8 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     the report carries per-step timings, per-level rank statistics,
     conditioning telemetry and the residual of A_approx, all JSON-safe.
 
-    With estimate_error, err_A comes from a block subspace iteration
-    against the exact operator up to N = DENSE_MODE_GUARD and from
-    SAMPLED_ROWS exact rows above it (a random Frobenius-norm estimate, not
-    a bound); norm_inv always comes from the block iteration on the
-    inverse.  The block iteration (diagnostics.power_norm) runs
-    BLOCK_COLUMNS columns until a step raises its estimate by less than
-    BLOCK_RTOL relatively, at most 50 steps; each estimate is a lower bound
-    on its norm.
+    With estimate_error the report also carries the a posteriori error
+    certificate, by the method diagnostics.error_estimate picks for N.
     """
     rhs = as_real(rhs, "rhs")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != grid.size:
@@ -360,23 +351,5 @@ def solve_workflow(grid: QuadratureGrid, cfg: CompressionConfig, rhs, *,
     }
 
     if estimate_error:
-        report["error_estimate"] = _error_estimate(grid, A, inv, seed)
+        report["error_estimate"] = error_estimate(grid, A, inv, seed)
     return q, report
-
-
-def _error_estimate(grid: QuadratureGrid, A: HbsMatrix, inv, seed):
-    """The report's error_estimate: err_A, norm_inv and bound_factor, by the
-    method solve_workflow's docstring gives for the grid's size."""
-    # imported at call time: perfbench's tracer wraps these module attributes
-    from .diagnostics import (SAMPLED_ROWS, estimate_solver_error,
-                              inverse_norm, sampled_error)
-
-    if grid.size <= DENSE_MODE_GUARD:
-        err_A, norm_inv, _ = estimate_solver_error(grid, A, inv, seed=seed)
-        method = {"method": "power"}
-    else:
-        err_A = sampled_error(grid, A, seed)
-        norm_inv = inverse_norm(inv, seed=seed + 1)
-        method = {"method": "sampled", "samples": SAMPLED_ROWS}
-    return {"err_A": _sig3(err_A), "norm_inv": _sig3(norm_inv),
-            "bound_factor": _sig3(err_A * norm_inv), **method}

@@ -24,12 +24,15 @@ class CompressionConfig:
     mode: str = "proxy"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # written so that NaN fails too: tol >= 1 or a non-finite radius
+        # leaves the proxy rings undefined, and tol = NaN turns compression off
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.proxy_points < 8:
             raise ValueError("proxy_points must be >= 8")
-        if self.proxy_radius_factor <= 1:
-            raise ValueError("proxy_radius_factor must exceed 1")
+        if not 1 < self.proxy_radius_factor < float("inf"):
+            raise ValueError(f"proxy_radius_factor must be finite and exceed 1, "
+                             f"got {self.proxy_radius_factor}")
         if self.target_leaf < 2:
             raise ValueError("target_leaf must be >= 2")
         if self.mode not in ("dense", "proxy"):

@@ -21,11 +21,14 @@ each step re-forms it in panels (quadrature.dense_matvec), O(N^2) kernel
 evaluations per step that serve all the block's columns at once.  Where
 even that is too dear, `sampled_error` estimates ||A - A_approx||_F from a
 few exact rows in O(s N) instead; that is a random estimate, not a bound.
+`error_estimate` picks between the two by N and fills the solve report's
+certificate; solve_workflow and the scaling sweep both call it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import qr
 
 from . import quadrature as quad
 from .hbs import HbsMatrix, hbs_matvec, hbs_transpose
@@ -34,6 +37,9 @@ from .quadrature import QuadratureGrid
 
 # the exact matrix is assembled once up to this size (N <= 2896), else streamed
 EXACT_ASSEMBLY_BYTES = 64 * 2**20
+# error_estimate's err_A: the block estimate against the exact operator up to
+# this N, each step O(N^2); above it, SAMPLED_ROWS exact rows in O(N)
+POWER_CAP = 8000
 SAMPLED_ROWS = 32
 # the block norm estimates: columns per block, and the relative rise of
 # the estimate below which one more step is not taken
@@ -42,54 +48,28 @@ BLOCK_RTOL = 1e-4
 
 
 def power_norm(apply, apply_adjoint, dim, iters=50, seed=0):
-    """Spectral-norm estimate of a linear operator; a lower bound on the
-    true norm up to round-off.
+    """Block estimate of ||A|| for a linear operator A, from a random
+    dim = (N, m) block; a lower bound on the norm up to round-off.
 
-    With dim = N it runs `iters` steps of power iteration on A* A from one
-    random vector.  With dim = (N, m) it runs a block subspace iteration
-    (see _subspace_norm) from a random N x m block, for at most `iters`
-    steps.  apply and apply_adjoint take what dim describes: (N,) vectors,
-    or (N, k) blocks with k <= m.
+    apply and apply_adjoint take (N, k) blocks with k <= m.  V starts as an
+    orthonormal basis of the seeded random block; each step takes
+    A V = Q R, then A* Q = V R', both by QR, and estimates
+    ||A* Q||_2 = ||R'||_2, a lower bound on ||A|| since Q has orthonormal
+    columns.  Householder QR keeps Q and V orthonormal even when A V has
+    rank below m, so a zero operator gives 0 and a rank-1 one its norm.
+    The estimates never fall (up to round-off); the iteration stops after
+    the first step that raises its estimate by at most BLOCK_RTOL
+    relatively, or after `iters` steps.
     """
+    if np.ndim(dim) != 1 or len(dim) != 2:
+        raise ValueError(f"dim must be an (N, m) block shape, got {dim!r}")
     if iters < 2:
         raise ValueError("iters must be >= 2")
-    rng = np.random.default_rng(seed)
-    if np.ndim(dim):
-        return _subspace_norm(apply, apply_adjoint, rng.standard_normal(dim), iters)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = apply(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = apply_adjoint(w / nw)
-        sigma = np.linalg.norm(v)
-        if sigma == 0.0:
-            return 0.0
-        # v is now A* u for a unit vector u, so ||v|| -> sigma_max
-        v /= sigma
-    return float(sigma)
-
-
-def _subspace_norm(apply, apply_adjoint, start, iters):
-    """||A|| estimated from the span of `start`, an N x m block.
-
-    V = orth(start); each step takes A V = Q R, then A* Q = V R', both by
-    QR, and estimates ||A* Q||_2 = ||R'||_2, a lower bound on ||A|| since Q
-    has orthonormal columns.  Householder QR keeps Q and V orthonormal even
-    when A V has rank below m, so a zero operator gives 0 and a rank-1 one
-    its norm.  The estimates never fall (up to round-off); the iteration
-    stops after the first step that raises its estimate by at most
-    BLOCK_RTOL relatively, or after `iters` steps.
-    """
-    from scipy.linalg import qr  # already loaded by .inversion
 
     def orth(X):
         return qr(X, mode="economic", check_finite=False)
 
-    V = orth(start)[0]
+    V = orth(np.random.default_rng(seed).standard_normal(dim))[0]
     sigma = 0.0
     for _ in range(iters):
         V, R = orth(apply_adjoint(orth(apply(V))[0]))
@@ -150,19 +130,47 @@ def estimate_solver_error(A_exact, A_approx: HbsMatrix, inv: HbsInverse, *,
 
 
 def sampled_error(grid: QuadratureGrid, A: HbsMatrix, seed):
-    """Estimate of ||A_exact - A|| from s = SAMPLED_ROWS distinct random
-    rows, in O(s N).
+    """Estimate of ||A_exact - A|| from s = min(SAMPLED_ROWS, N) distinct
+    random rows, in O(s N).
 
     The exact rows come from the kernel, the same rows of A from one block
     product of A^T with the s unit columns.  sqrt(N/s) ||rows of A_exact - A||_F
-    is an unbiased estimate of the Frobenius norm of the difference.  It is
-    an estimate, not a bound: when the error sits in a few rows the sample
-    can miss them and fall below the spectral norm.
+    is an unbiased estimate of the Frobenius norm of the difference (with
+    all N rows, it is that norm).  It is an estimate, not a bound: when the
+    error sits in a few rows the sample can miss them and fall below the
+    spectral norm.
     """
-    n, s = grid.size, SAMPLED_ROWS
+    n = grid.size
+    s = min(SAMPLED_ROWS, n)
     rows = np.sort(np.random.default_rng(seed).choice(n, s, replace=False))
     E = np.zeros((n, s))
     E[rows, np.arange(s)] = 1.0
     approx = hbs_matvec(hbs_transpose(A), E).T
     exact = quad.nystrom_block(grid, rows, np.arange(n))
     return float(np.sqrt(n / s) * np.linalg.norm(exact - approx))
+
+
+def _sig3(x):
+    """x to the 3 significant digits that report and BENCH numbers carry."""
+    return float(f"{x:.3g}")
+
+
+def error_estimate(grid: QuadratureGrid, A: HbsMatrix, inv: HbsInverse, seed):
+    """The solve report's error_estimate: err_A, norm_inv and their product
+    bound_factor to 3 digits, and the method that gave err_A.
+
+    Up to N = POWER_CAP, err_A is the block estimate against the exact
+    operator ("power"); above it, the sampled estimate from SAMPLED_ROWS
+    exact rows ("sampled", a random Frobenius-norm estimate, not a bound).
+    norm_inv is always the block estimate on the factored inverse.  err_A
+    draws from `seed`, norm_inv from seed + 1.
+    """
+    if grid.size <= POWER_CAP:
+        err_A, norm_inv, _ = estimate_solver_error(grid, A, inv, seed=seed)
+        method = {"method": "power"}
+    else:
+        err_A = sampled_error(grid, A, seed)
+        norm_inv = inverse_norm(inv, seed=seed + 1)
+        method = {"method": "sampled", "samples": SAMPLED_ROWS}
+    return {"err_A": _sig3(err_A), "norm_inv": _sig3(norm_inv),
+            "bound_factor": _sig3(err_A * norm_inv), **method}

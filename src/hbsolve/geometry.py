@@ -3,10 +3,9 @@
 Four contour families are provided: a circle, a smooth star, a star whose
 boundary is a chain of circular arcs meeting at corners, and a "snake"
 (two parallel sine waves closed off by short vertical segments).  Each
-contour is a simple closed curve traversed counterclockwise, exposing
-position, first/second derivative, outward unit normal, speed and signed
-curvature as vectorized callables of the parameter t in [0, T); ``frame``
-gives the position, normal, speed and curvature from one evaluation.
+contour is a simple closed curve traversed counterclockwise, with a
+parameter t in [0, T).  ``frame`` gives the position, outward unit
+normal, speed and signed curvature at a vector of t from one evaluation.
 
 A family implements two methods: ``_curve``, which returns the position
 and both derivatives at once, and ``sections``, which splits [0, T) into
@@ -48,15 +47,6 @@ class Contour:
     def _curve(self, t):
         raise NotImplementedError
 
-    def position(self, t):
-        return self._curve(np.asarray(t, float))[0]
-
-    def derivative(self, t):
-        return self._curve(np.asarray(t, float))[1]
-
-    def second_derivative(self, t):
-        return self._curve(np.asarray(t, float))[2]
-
     def frame(self, t):
         """(position, outward unit normal, speed, signed curvature) at t,
         from one evaluation of the curve.
@@ -68,22 +58,6 @@ class Contour:
         s = np.hypot(d[..., 0], d[..., 1])
         normal = np.stack([d[..., 1] / s, -d[..., 0] / s], axis=-1)
         return p, normal, s, (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
-
-    def normal(self, t):
-        return self.frame(t)[1]
-
-    def speed(self, t):
-        return self.frame(t)[2]
-
-    def curvature(self, t):
-        return self.frame(t)[3]
-
-    @property
-    def corner_locations(self):
-        """Parameters of the corners: the section starts of a cornered contour."""
-        if not self.cornered:
-            return np.zeros(0)
-        return np.array([a for a, _, _ in self.sections(1)], dtype=float)
 
     def sections(self, base_panels_per_unit):
         """Panelling sections as (a, b, panel_count) triples covering [0, T).
@@ -380,4 +354,10 @@ def load_geometry_spec(path):
     if not isinstance(spec["params"], dict):
         raise ValueError(f"{spec['kind']} params must be a JSON object, got {spec['params']!r}")
     contour = make_contour(spec["kind"], **spec["params"])
-    return contour, int(spec["panels_per_unit"]), int(spec["corner_levels"])
+    counts = []
+    for key in ("panels_per_unit", "corner_levels"):
+        value = spec[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"geometry spec {key} must be a whole number, got {value!r}")
+        counts.append(_whole(value, f"geometry spec {key}"))
+    return (contour, *counts)

@@ -67,10 +67,6 @@ class QuadratureGrid:
     def panel_count(self):
         return int(self.panel_of[-1]) + 1 if self.size else 0
 
-    @property
-    def nodes_per_panel(self):
-        return self.size // self.panel_count
-
 
 def build_grid(contour: Contour, panels: PanelDecomposition, nodes_per_panel: int) -> QuadratureGrid:
     """Composite Gauss-Legendre grid over a panel decomposition.

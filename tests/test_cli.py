@@ -67,6 +67,30 @@ def test_malformed_spec_params_exit_2(tmp_path, capsys, kind, params, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("panels_per_unit", 8.7), ("panels_per_unit", True), ("panels_per_unit", "8"),
+    ("corner_levels", 2.9), ("corner_levels", False), ("corner_levels", None),
+])
+def test_malformed_spec_counts_exit_2(tmp_path, capsys, key, value):
+    spec = {"kind": "corner_star", "params": {}, "panels_per_unit": 4, "corner_levels": 2}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**spec, key: value}))
+    assert cli.main(["discretize", str(bad), "-o", str(tmp_path / "g.csv")]) == 2
+    assert f"{key} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "2"], ["--tol", "1"], ["--tol", "nan"],
+                                   ["--proxy-radius-factor", "inf"],
+                                   ["--proxy-radius-factor", "nan"]])
+def test_solve_out_of_range_config_exits_2(tmp_path, capsys, flags):
+    grid_path = discretize(tmp_path)
+    code = cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(tmp_path / "q.csv"),
+                     *flags])
+    assert code == 2
+    assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+
+
 def test_solve_harmonic_rhs(tmp_path, capsys):
     grid_path = discretize(tmp_path, kind="smooth_star", panels_per_unit=48)
     sol = str(tmp_path / "q.csv")
@@ -82,16 +106,16 @@ def test_solve_harmonic_rhs(tmp_path, capsys):
 
 
 def test_solve_estimates_error_above_the_power_cap(tmp_path):
-    from hbsolve.compression import DENSE_MODE_GUARD
+    from hbsolve.diagnostics import POWER_CAP
 
     grid_path = discretize(tmp_path, kind="smooth_star",
-                           panels_per_unit=DENSE_MODE_GUARD // 10 + 1)
+                           panels_per_unit=POWER_CAP // 10 + 1)
     rep = str(tmp_path / "report.json")
     code = cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(tmp_path / "q.csv"),
                      "--report", rep, "--estimate-error"])
     assert code == 0
     report = json.load(open(rep))
-    assert report["n"] > DENSE_MODE_GUARD
+    assert report["n"] > POWER_CAP
     assert report["error_estimate"]["method"] == "sampled"
     assert np.isfinite(report["error_estimate"]["bound_factor"])
 

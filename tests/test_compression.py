@@ -24,12 +24,14 @@ from conftest import circle_grid, star_grid
 
 def test_config_validation():
     assert CompressionConfig().mode == "proxy"  # defaults are valid; dense is opt-in
-    with pytest.raises(ValueError, match="tol"):
-        CompressionConfig(tol=0.0)
+    for tol in (0.0, 1.0, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            CompressionConfig(tol=tol)
     with pytest.raises(ValueError, match="proxy_points"):
         CompressionConfig(proxy_points=4)
-    with pytest.raises(ValueError, match="proxy_radius_factor"):
-        CompressionConfig(proxy_radius_factor=1.0)
+    for factor in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="proxy_radius_factor"):
+            CompressionConfig(proxy_radius_factor=factor)
     with pytest.raises(ValueError, match="target_leaf"):
         CompressionConfig(target_leaf=1)
     with pytest.raises(ValueError, match="mode"):

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import hbsolve as hb
 from hbsolve import diagnostics, quadrature
-from hbsolve.compression import DENSE_MODE_GUARD
-from hbsolve.diagnostics import estimate_solver_error, power_norm, sampled_error
+from hbsolve.diagnostics import POWER_CAP, estimate_solver_error, power_norm, sampled_error
 from hbsolve.inversion import hbs_invert
 from conftest import star_grid
 
@@ -14,36 +13,53 @@ def dense_ops(A):
     return (lambda v: A @ v), (lambda v: A.T @ v), A.shape[0]
 
 
-def test_power_norm_diagonal():
-    mv, mvT, n = dense_ops(np.diag([3.0, 1.0, 1.0]))
-    assert abs(power_norm(mv, mvT, n) - 3.0) < 1e-6
-
-
-def test_power_norm_identity_and_zero():
-    mv, mvT, n = dense_ops(np.eye(8))
-    assert abs(power_norm(mv, mvT, n) - 1.0) < 1e-12
-    mv, mvT, n = dense_ops(np.zeros((8, 8)))
-    assert power_norm(mv, mvT, n) == 0.0
+def scalar_power_norm(apply, apply_adjoint, n, iters=50, seed=0):
+    """The scalar estimate the block one is checked against: `iters` steps of
+    power iteration on A* A from one random vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(iters):
+        w = apply(v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = apply_adjoint(w / nw)
+        sigma = np.linalg.norm(v)
+        if sigma == 0.0:
+            return 0.0
+        # v is now A* u for a unit vector u, so ||v|| -> sigma_max
+        v /= sigma
+    return float(sigma)
 
 
 def test_power_norm_rejects_too_few_iters():
     mv, mvT, n = dense_ops(np.eye(2))
     with pytest.raises(ValueError):
-        power_norm(mv, mvT, n, iters=1)
+        power_norm(mv, mvT, (n, diagnostics.BLOCK_COLUMNS), iters=1)
+
+
+@pytest.mark.parametrize("dim", [2, (2,), (2, 8, 1)], ids=["int", "1-tuple", "3-tuple"])
+def test_power_norm_needs_a_block_shape(dim):
+    mv, mvT, _ = dense_ops(np.eye(2))
+    with pytest.raises(ValueError, match=r"\(N, m\) block shape"):
+        power_norm(mv, mvT, dim)
 
 
 def test_power_norm_random_matrix(rng):
     A = rng.standard_normal((200, 200))
     mv, mvT, n = dense_ops(A)
-    sigma = power_norm(mv, mvT, n, iters=200)
+    sigma = power_norm(mv, mvT, (n, diagnostics.BLOCK_COLUMNS), iters=200)
     exact = np.linalg.norm(A, 2)
-    assert sigma <= exact + 1e-12  # power iteration never overestimates
+    assert sigma <= exact + 1e-12  # the block estimate never overestimates
     assert sigma > 0.99 * exact
 
 
 BREAKDOWNS = {
     "zero": (np.zeros((8, 8)), 0.0),
     "identity": (np.eye(8), 1.0),
+    "diagonal": (np.diag([3.0, 1.0, 1.0]), 3.0),
     "rank_one": (np.outer(np.arange(1.0, 21.0), np.ones(20)), np.sqrt(20 * 2870)),
     "n_below_m": (np.diag([2.0, -5.0, 1.0, 0.5, 3.0, 1.0]), 5.0),
 }
@@ -209,6 +225,17 @@ def test_sampled_error_scales_its_rows_to_the_frobenius_norm(monkeypatch):
     assert np.isclose(sampled_error(grid, Ah, seed=3), np.linalg.norm(R), rtol=1e-6)
 
 
+def test_sampled_error_on_fewer_nodes_than_sampled_rows():
+    c = hb.SmoothStar()
+    grid = hb.build_grid(c, hb.decompose(c, 2, 0), 10)  # N = 20
+    assert grid.size < diagnostics.SAMPLED_ROWS
+    Ah, _ = hb.compress(grid, hb.CompressionConfig(tol=1e-3, target_leaf=4, mode="dense"))
+    R = hb.assemble_dlp(grid) - hb.expand_dense(Ah)
+    assert np.linalg.norm(R) > 0
+    # every row is sampled, which gives the Frobenius norm itself
+    assert np.isclose(sampled_error(grid, Ah, seed=0), np.linalg.norm(R), rtol=1e-6)
+
+
 def grid_on(contour, panels, corner_levels, nodes):
     return hb.build_grid(contour, hb.decompose(contour, panels, corner_levels), nodes)
 
@@ -248,10 +275,10 @@ def test_block_estimates_are_sound(contour, tol):
     err_A, norm_inv, _ = estimate_solver_error(A, Ah, inv)
 
     At, invT = hb.hbs_transpose(Ah), hb.inverse_transpose(inv)
-    power_err = power_norm(lambda v: A @ v - hb.hbs_matvec(Ah, v),
-                           lambda v: A.T @ v - hb.hbs_matvec(At, v), grid.size, seed=0)
-    power_inv = power_norm(lambda v: hb.apply_inverse(inv, v),
-                           lambda v: hb.apply_inverse(invT, v), grid.size, seed=1)
+    power_err = scalar_power_norm(lambda v: A @ v - hb.hbs_matvec(Ah, v),
+                                  lambda v: A.T @ v - hb.hbs_matvec(At, v), grid.size, seed=0)
+    power_inv = scalar_power_norm(lambda v: hb.apply_inverse(inv, v),
+                                  lambda v: hb.apply_inverse(invT, v), grid.size, seed=1)
     dense_err = np.linalg.norm(A - hb.expand_dense(Ah), 2)
     dense_inv = np.linalg.norm(hb.apply_inverse(inv, np.eye(grid.size)), 2)
     # A - A_approx is formed from O(||A||) products, so neither it nor any
@@ -265,8 +292,8 @@ def test_block_estimates_are_sound(contour, tol):
 
 
 def test_solve_workflow_samples_err_A_above_the_power_cap():
-    grid = star_grid(DENSE_MODE_GUARD // 10 + 1, 10)
-    assert grid.size > DENSE_MODE_GUARD
+    grid = star_grid(POWER_CAP // 10 + 1, 10)
+    assert grid.size > POWER_CAP
     rhs = hb.harmonic_trace(grid, np.array([3.0, 0.0]))
     _, report = hb.solve_workflow(grid, hb.CompressionConfig(mode="proxy"), rhs,
                                   estimate_error=True)

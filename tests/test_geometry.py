@@ -4,6 +4,21 @@ import pytest
 import hbsolve as hb
 from hbsolve.geometry import MIN_PANEL_LENGTH, make_contour
 
+
+def curve(contour, t):
+    """(position, first derivative, second derivative) at t."""
+    return contour._curve(np.asarray(t, float))
+
+
+def position(contour, t):
+    return curve(contour, t)[0]
+
+
+def corners(contour):
+    """The parameters of the corners: a cornered contour's section starts."""
+    return np.array([a for a, _, _ in contour.sections(1)] if contour.cornered else [])
+
+
 ALL_KINDS = [
     hb.UnitCircle(),
     hb.SmoothStar(),
@@ -14,8 +29,8 @@ ALL_KINDS = [
 
 @pytest.mark.parametrize("contour", ALL_KINDS, ids=lambda c: c.kind)
 def test_closure(contour):
-    p0 = contour.position(np.array([0.0]))
-    p1 = contour.position(np.array([contour.period - 1e-13]))
+    p0 = position(contour, np.array([0.0]))
+    p1 = position(contour, np.array([contour.period - 1e-13]))
     assert np.linalg.norm(p1 - p0) < 1e-10
 
 
@@ -23,10 +38,10 @@ def test_closure(contour):
 def test_unit_normals(contour):
     t = np.linspace(0.05, contour.period - 0.05, 137)
     # keep clear of corners where the tangent jumps
-    if contour.corner_locations.size:
-        dist = np.min(np.abs(t[:, None] - contour.corner_locations[None, :]), axis=1)
+    if contour.cornered:
+        dist = np.min(np.abs(t[:, None] - corners(contour)[None, :]), axis=1)
         t = t[dist > 1e-3]
-    n = contour.normal(t)
+    n = contour.frame(t)[1]
     assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) < 1e-14
 
 
@@ -35,38 +50,40 @@ def test_derivatives_match_central_differences(contour):
     h = 1e-5
     t = np.linspace(0.01, contour.period - 0.01, 401)
     if contour.cornered:  # keep every stencil inside one smooth piece
-        ends = np.append(contour.corner_locations, contour.period)
+        ends = np.append(corners(contour), contour.period)
         t = t[np.min(np.abs(t[:, None] - ends), axis=1) > 2 * h]
-    fd = (contour.position(t + h) - contour.position(t - h)) / (2 * h)
-    assert np.max(np.abs(fd - contour.derivative(t))) < 1e-8
-    fdd = (contour.derivative(t + h) - contour.derivative(t - h)) / (2 * h)
-    assert np.max(np.abs(fdd - contour.second_derivative(t))) < 1e-7
+    fd = (position(contour, t + h) - position(contour, t - h)) / (2 * h)
+    _, d, dd = curve(contour, t)
+    assert np.max(np.abs(fd - d)) < 1e-8
+    fdd = (curve(contour, t + h)[1] - curve(contour, t - h)[1]) / (2 * h)
+    assert np.max(np.abs(fdd - dd)) < 1e-7
 
 
 def test_circle_basics():
     c = hb.UnitCircle()
     t = np.array([0.0, np.pi / 2, np.pi])
-    assert np.allclose(c.position(t), [[1, 0], [0, 1], [-1, 0]], atol=1e-15)
-    assert np.allclose(c.normal(t), c.position(t), atol=1e-15)
-    assert np.allclose(c.curvature(t), 1.0)
+    p, normal, _, kappa = c.frame(t)
+    assert np.allclose(p, [[1, 0], [0, 1], [-1, 0]], atol=1e-15)
+    assert np.allclose(normal, p, atol=1e-15)
+    assert np.allclose(kappa, 1.0)
     assert np.isclose(c.period, 2 * np.pi)
 
 
 def test_smooth_star_radius():
     c = hb.SmoothStar(arms=5, amplitude=0.3)
     t = np.linspace(0, 2 * np.pi, 50)
-    r = np.linalg.norm(c.position(t), axis=1)
+    r = np.linalg.norm(position(c, t), axis=1)
     assert np.allclose(r, 1 + 0.3 * np.cos(5 * t))
 
 
 def test_corner_star_vertices():
     c = hb.CornerStar()
     j = np.arange(10)
-    verts = c.position(j.astype(float))
+    verts = position(c, j.astype(float))
     r = np.linalg.norm(verts, axis=1)
     assert np.allclose(r, np.where(j % 2 == 0, c.radii[0], c.radii[1]))
     # arcs bulge outward: midpoints lie farther out than the chord midpoint
-    mids = c.position(j + 0.5)
+    mids = position(c, j + 0.5)
     chords = 0.5 * (verts + verts[np.roll(j, -1)])
     assert np.all(np.linalg.norm(mids, axis=1) > np.linalg.norm(chords, axis=1))
 
@@ -74,8 +91,8 @@ def test_corner_star_vertices():
 def test_corner_star_has_tangent_jumps():
     c = hb.CornerStar()
     for j in range(c.segments):
-        dm = c.derivative(np.array([(j - 1e-9) % c.period]))[0]
-        dp = c.derivative(np.array([j + 1e-9]))[0]
+        dm = curve(c, [(j - 1e-9) % c.period])[1][0]
+        dp = curve(c, [j + 1e-9])[1][0]
         angle = np.arccos(np.clip(dm @ dp / (np.linalg.norm(dm) * np.linalg.norm(dp)), -1, 1))
         assert angle > 0.05
 
@@ -84,13 +101,13 @@ def test_snake_shape():
     c = hb.Snake(waves=2, amplitude=1.0, gap=0.2)
     # bottom wave sits gap/2 below the sine, top wave gap/2 above
     t = np.array([np.pi / 2])
-    assert np.allclose(c.position(t), [[np.pi / 2, 1.0 - 0.1]])
-    assert c.corner_locations.size == 4
+    assert np.allclose(position(c, t), [[np.pi / 2, 1.0 - 0.1]])
+    assert corners(c).size == 4
     # vertical separation between the waves is the gap
-    bottom = c.position(np.array([1.0]))[0]
+    bottom = position(c, np.array([1.0]))[0]
     x = bottom[0]
     top_t = 2 * c.span + c.gap - x  # parameter of the top-wave point above x
-    top = c.position(np.array([top_t]))[0]
+    top = position(c, np.array([top_t]))[0]
     assert np.isclose(top[0], x)
     assert np.isclose(top[1] - bottom[1], c.gap)
 
@@ -138,9 +155,9 @@ def test_decompose_corner_star_grading():
         sections = contour.sections(base)
         # each section's two end panels are replaced by levels + 1 graded ones
         assert panels.count == sum(count + 2 * levels for _, _, count in sections)
-        assert np.array_equal(contour.corner_locations, [a for a, _, _ in sections])
+        assert np.array_equal(corners(contour), [a for a, _, _ in sections])
         starts, lengths = panels.panels[:, 0], panels.lengths()
-        for corner in contour.corner_locations:
+        for corner in corners(contour):
             at = np.flatnonzero(starts == corner)  # exact endpoint, not approximate
             assert at.size == 1
             after = lengths[at[0] : at[0] + levels + 1]  # graded panels after the corner
@@ -153,7 +170,7 @@ def test_decompose_corner_star_grading():
 
 def test_smooth_contours_have_no_corners():
     for c in (hb.UnitCircle(), hb.SmoothStar()):
-        assert not c.cornered and c.corner_locations.shape == (0,)
+        assert not c.cornered and corners(c).shape == (0,)
         assert np.array_equal(hb.decompose(c, 12, 5).panels, hb.decompose(c, 12, 0).panels)
 
 
