@@ -23,13 +23,6 @@ STAGES = ("compress", "invert", "apply", "apply_block")
 SWEEP_COLUMNS = 32
 
 
-def _positive_float(text):
-    x = float(text)
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return x
-
-
 def _positive_int(text):
     x = int(text)
     if x <= 0:
@@ -41,7 +34,7 @@ def _add_solver_flags(p):
     from .config import CompressionConfig
 
     lib = CompressionConfig()  # the library's defaults are the CLI's
-    p.add_argument("--tol", type=_positive_float, default=lib.tol,
+    p.add_argument("--tol", type=float, default=lib.tol,
                    help="compression tolerance (default %(default)s)")
     p.add_argument("--proxy-points", type=int, default=lib.proxy_points,
                    help="points on each proxy circle (default %(default)s)")
@@ -84,11 +77,10 @@ def build_parser():
     p.add_argument("-o", "--output", default="solution.csv", help="solution CSV")
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--estimate-error", action="store_true",
-                   help="append an a posteriori error bound to the report "
-                        "(block subspace iteration, 8 columns, until a step "
-                        "gains < 1e-4, at most 50 steps; each norm is a lower "
-                        "bound; above N = 8000 err_A is estimated from "
-                        "sampled rows, so the bound is an estimate)")
+                   help="add error_estimate to the report: estimates of "
+                        "||A - A_approx|| and ||A_approx^-1||, whose product "
+                        "bounds the relative solution error (README, Reports, "
+                        "says how each is estimated and when it is a bound)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -152,6 +144,7 @@ def _config_from(args):
 def cmd_solve(args):
     from . import quadrature
     from .compression import solve_workflow
+    from .diagnostics import _sig3
 
     grid = quadrature.load_grid_csv(args.grid)
     rhs, source = _load_rhs(args.rhs, grid)
@@ -159,7 +152,7 @@ def cmd_solve(args):
     q, report = solve_workflow(grid, cfg, rhs,
                                estimate_error=args.estimate_error, seed=args.seed)
     if source is not None:
-        report["interior_error"] = float(f"{quadrature.interior_error(grid, q, source):.3g}")
+        report["interior_error"] = _sig3(quadrature.interior_error(grid, q, source))
 
     with open(args.output, "w") as f:
         f.writelines(" ".join(f"{v:.17g}" for v in row) + "\n"

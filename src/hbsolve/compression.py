@@ -266,7 +266,13 @@ def compress_dense(A_dense, tree: IndexTree, cfg: CompressionConfig):
 
 
 def compress_proxy(grid: QuadratureGrid, kernel, tree: IndexTree, cfg: CompressionConfig):
-    """Proxy-circle compression; never forms an N x N array."""
+    """Proxy-circle compression; never forms an N x N array.  A leaf of more
+    than DENSE_MODE_GUARD nodes, whose D block dense mode would refuse as
+    the whole matrix, raises ValueError before any block is sampled."""
+    leaf = tree.size_of(1 << tree.levels)  # the first leaf: splits give the left the ceiling
+    if leaf > DENSE_MODE_GUARD:
+        raise ValueError(f"a leaf of {leaf} nodes exceeds N = {DENSE_MODE_GUARD}, the largest "
+                         f"dense block; lower target_leaf (got {cfg.target_leaf})")
     sampler = _ProxySampler(grid, kernel, tree, cfg)
     return _compress(tree, cfg, sampler, kernel.matrix)
 

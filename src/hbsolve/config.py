@@ -3,7 +3,17 @@ flag defaults from here before --threads pins BLAS and numpy loads."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+
+def _whole(value, what):
+    """value as an int.  A bool, a non-number, a fraction, NaN or an infinity
+    raises ValueError naming `what`, where int() would truncate or fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,8 @@ class CompressionConfig:
         # leaves the proxy rings undefined, and tol = NaN turns compression off
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+        for name in ("proxy_points", "target_leaf"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.proxy_points < 8:
             raise ValueError("proxy_points must be >= 8")
         if not 1 < self.proxy_radius_factor < float("inf"):

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _whole
+
 MIN_PANEL_LENGTH = 1e-12
-
-
-def _whole(value, what):
-    """value as an int; a fractional (or non-finite) value raises ValueError
-    naming `what`, where int() would truncate it."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    return int(value)
 
 
 class Contour:
@@ -348,16 +342,13 @@ def load_geometry_spec(path):
     """Read a geometry spec JSON file -> (contour, panels_per_unit, corner_levels)."""
     with open(path) as f:
         spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError(f"geometry spec {path} must hold a JSON object, got {spec!r}")
     for key in ("kind", "params", "panels_per_unit", "corner_levels"):
         if key not in spec:
             raise ValueError(f"geometry spec missing field {key!r}")
     if not isinstance(spec["params"], dict):
         raise ValueError(f"{spec['kind']} params must be a JSON object, got {spec['params']!r}")
     contour = make_contour(spec["kind"], **spec["params"])
-    counts = []
-    for key in ("panels_per_unit", "corner_levels"):
-        value = spec[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"geometry spec {key} must be a whole number, got {value!r}")
-        counts.append(_whole(value, f"geometry spec {key}"))
-    return (contour, *counts)
+    return (contour, *(_whole(spec[key], f"geometry spec {key}")
+                       for key in ("panels_per_unit", "corner_levels")))

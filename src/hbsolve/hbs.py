@@ -18,7 +18,9 @@ stacks allocated from that table: all of a level's blocks of one name and
 shape are one (count, rows, cols) array, and `A.U[tau]` and the like are
 read-only mappings from a node to a view of its slot (allocate_stacks,
 Blocks).  One traversal of the stacks, level by level, serves the matvec
-and the factored inverse's apply (_telescope).
+and the factored inverse's apply (_telescope).  The dense oracle,
+expand_dense, multiplies the telescoping formula out level by level from
+the Blocks mappings alone, so it checks that traversal independently.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .tree import IndexTree
 
@@ -418,45 +421,34 @@ def hbs_transpose(A: HbsMatrix) -> HbsMatrix:
     )
 
 
-def _extended_basis(A: HbsMatrix, node, which):
-    """Map a node's outgoing (U) or incoming (V) rank space to its indices."""
-    basis = A.U if which == "U" else A.V
-    if A.tree.is_leaf(node):
-        return basis[node]
-    left = _extended_basis(A, 2 * node, which)
-    right = _extended_basis(A, 2 * node + 1, which)
-    big = np.zeros((left.shape[0] + right.shape[0], left.shape[1] + right.shape[1]))
-    big[: left.shape[0], : left.shape[1]] = left
-    big[left.shape[0] :, left.shape[1] :] = right
-    return big @ basis[node]
-
-
-def _expand_node(A: HbsMatrix, node, out):
-    """Write node's diagonal block of the dense matrix into out."""
-    if A.tree.is_leaf(node):
-        out[...] = A.D[node]
-        return
-    s1, s2 = 2 * node, 2 * node + 1
-    n1 = A.tree.size_of(s1)
-    _expand_node(A, s1, out[:n1, :n1])
-    _expand_node(A, s2, out[n1:, n1:])
-    U1 = _extended_basis(A, s1, "U")
-    U2 = _extended_basis(A, s2, "U")
-    V1 = _extended_basis(A, s1, "V")
-    V2 = _extended_basis(A, s2, "V")
-    out[:n1, n1:] = U1 @ A.B12[node] @ V2.T
-    out[n1:, :n1] = U2 @ A.B21[node] @ V1.T
-
-
 def expand_dense(A: HbsMatrix):
-    """Exact dense matrix represented by the factors (oracle-scale only)."""
-    if A.tree.n > EXPAND_DENSE_GUARD:
+    """Exact dense matrix represented by the factors (oracle-scale only).
+
+    Evaluates the telescoping factorization coarse to fine, one product per
+    level: M starts as the root's pair [[0, B12], [B21, 0]]; each level below
+    sets M <- blockdiag(its pairs) + blockdiag(U) M blockdiag(V)*, and the
+    leaves return blockdiag(D) + blockdiag(U) M blockdiag(V)*.  It reads the
+    blocks through their mappings only, independently of _telescope."""
+    tree = A.tree
+    if tree.n > EXPAND_DENSE_GUARD:
         raise ValueError(
-            f"expand_dense is an oracle for N <= {EXPAND_DENSE_GUARD}, got N = {A.tree.n}"
+            f"expand_dense is an oracle for N <= {EXPAND_DENSE_GUARD}, got N = {tree.n}"
         )
-    out = np.empty(A.shape)
-    _expand_node(A, 1, out)
-    return out
+    M = None
+    for level in range(tree.levels + 1):
+        nodes = tree.nodes_at_level(level)
+        if level == tree.levels:
+            diag = block_diag(*(A.D[tau] for tau in nodes))
+        else:
+            diag = block_diag(*(np.block([[np.zeros((len(A.B12[tau]),) * 2), A.B12[tau]],
+                                          [A.B21[tau], np.zeros((len(A.B21[tau]),) * 2)]])
+                                for tau in nodes))
+        if level:
+            U = block_diag(*(A.U[tau] for tau in nodes))
+            V = block_diag(*(A.V[tau] for tau in nodes))
+            diag += U @ M @ V.T
+        M = diag
+    return M
 
 
 def nonfinite_blocks(obj: StackedBlocks):

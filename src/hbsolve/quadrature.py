@@ -25,11 +25,11 @@ with the curvature limit.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _whole
 from .geometry import Contour, PanelDecomposition
 
 COINCIDENT_NODE_TOL = 1e-14
@@ -241,9 +241,9 @@ def interior_probe_points(grid: QuadratureGrid, count=10):
     (farthest from their nearest node) win.  `count` must be a positive
     whole number; fewer points come back when fewer candidates are inside.
     """
-    if not (isinstance(count, numbers.Real) and float(count).is_integer() and count >= 1):
+    count = _whole(count, "count")
+    if count < 1:
         raise ValueError(f"count must be a positive whole number, got {count!r}")
-    count = int(count)
     pts = grid.points
     c = pts.mean(axis=0)
     scale = np.max(np.linalg.norm(pts - c, axis=1))

@@ -67,6 +67,15 @@ def test_malformed_spec_params_exit_2(tmp_path, capsys, kind, params, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '["kind", "params", "panels_per_unit", '
+                                          '"corner_levels"]'])
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["discretize", str(bad), "-o", str(tmp_path / "g.csv")]) == 2
+    assert f"geometry spec {bad} must hold a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("panels_per_unit", 8.7), ("panels_per_unit", True), ("panels_per_unit", "8"),
     ("corner_levels", 2.9), ("corner_levels", False), ("corner_levels", None),
@@ -81,6 +90,7 @@ def test_malformed_spec_counts_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "2"], ["--tol", "1"], ["--tol", "nan"],
+                                   ["--tol", "0"], ["--tol", "-1"],
                                    ["--proxy-radius-factor", "inf"],
                                    ["--proxy-radius-factor", "nan"]])
 def test_solve_out_of_range_config_exits_2(tmp_path, capsys, flags):
@@ -131,6 +141,20 @@ def test_solve_dense_mode_above_the_guard_exits_2(tmp_path, monkeypatch, capsys)
                      "--mode", "dense"])
     assert code == 2
     assert "proxy mode" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_solve_leaf_above_the_guard_exits_2(tmp_path, monkeypatch, capsys):
+    from hbsolve import compression
+
+    calls = []
+    monkeypatch.setattr(compression.quad, "nystrom_block", lambda *a: calls.append(a))
+    grid_path = discretize(tmp_path, kind="smooth_star",
+                           panels_per_unit=compression.DENSE_MODE_GUARD // 10 + 2)
+    code = cli.main(["solve", grid_path, "harmonic:3,0", "-o", str(tmp_path / "q.csv"),
+                     "--target-leaf", "1000000"])
+    assert code == 2
+    assert "target_leaf" in capsys.readouterr().err
     assert calls == []
 
 

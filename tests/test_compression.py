@@ -34,6 +34,16 @@ def test_config_validation():
             CompressionConfig(proxy_radius_factor=factor)
     with pytest.raises(ValueError, match="target_leaf"):
         CompressionConfig(target_leaf=1)
+    # counts are whole numbers: a fraction, NaN, an infinity or a bool is refused
+    for value in (float("nan"), float("inf"), -float("inf"), 64.5):
+        with pytest.raises(ValueError, match="target_leaf must be a whole number"):
+            CompressionConfig(target_leaf=value)
+    for value in (float("nan"), 8.5, True, "50"):
+        with pytest.raises(ValueError, match="proxy_points must be a whole number"):
+            CompressionConfig(proxy_points=value)
+    cfg = CompressionConfig(proxy_points=np.int64(40), target_leaf=32.0)
+    assert (cfg.proxy_points, cfg.target_leaf) == (40, 32)
+    assert type(cfg.proxy_points) is type(cfg.target_leaf) is int
     with pytest.raises(ValueError, match="mode"):
         CompressionConfig(mode="sparse")
 
@@ -80,6 +90,15 @@ def test_dense_mode_refuses_large_n_before_assembling(monkeypatch):
     grid = star_grid(DENSE_MODE_GUARD // 10 + 2, 10)  # N = 8020
     with pytest.raises(ValueError, match="proxy mode"):
         compress(grid, CompressionConfig(mode="dense"))
+    assert calls == []
+
+
+def test_proxy_mode_refuses_a_leaf_above_the_guard_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compression.quad, "nystrom_block", lambda *a: calls.append(a))
+    grid = star_grid(DENSE_MODE_GUARD // 10 + 2, 10)  # N = 8020, one leaf of all of it
+    with pytest.raises(ValueError, match="target_leaf"):
+        compress(grid, CompressionConfig(target_leaf=10**6))
     assert calls == []
 
 

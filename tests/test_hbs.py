@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hbsolve as hb
-from hbsolve.hbs import EXPAND_DENSE_GUARD, _extended_basis, allocate_stacks
+from hbsolve.hbs import EXPAND_DENSE_GUARD, allocate_stacks
 from hbsolve.inversion import HbsInverse
 from hbsolve.serialization import load, save_hbs, save_inverse
 from conftest import (
@@ -81,6 +81,41 @@ def test_expand_one_level_by_hand(rng):
     q = rng.standard_normal(8)
     assert np.allclose(hb.hbs_matvec(A, q), ref @ q, atol=1e-12)
 
+    # two levels, random ranks: the root's blocks reach the indices through
+    # the leaves' bases times node 2's or 3's, blockdiag(U4, U5) U2 and so on
+    tree = hb.build_tree(16, 4)
+    assert tree.levels == 2
+    k = {tau: int(rng.integers(1, 4)) for tau in range(2, 8)}
+    D = {tau: rng.standard_normal((4, 4)) for tau in tree.leaves}
+    U = {tau: rng.standard_normal((4, k[tau])) for tau in tree.leaves}
+    V = {tau: rng.standard_normal((4, k[tau])) for tau in tree.leaves}
+    for tau in (2, 3):
+        U[tau] = rng.standard_normal((k[2 * tau] + k[2 * tau + 1], k[tau]))
+        V[tau] = rng.standard_normal((k[2 * tau] + k[2 * tau + 1], k[tau]))
+    B12 = {tau: rng.standard_normal((k[2 * tau], k[2 * tau + 1])) for tau in (1, 2, 3)}
+    B21 = {tau: rng.standard_normal((k[2 * tau + 1], k[2 * tau])) for tau in (1, 2, 3)}
+    A = hb.HbsMatrix(tree=tree, D=D, U=U, V=V, B12=B12, B21=B21)
+
+    def extended(basis, tau):  # node tau's basis on its 8 indices
+        s1, s2 = 2 * tau, 2 * tau + 1
+        big = np.zeros((8, k[s1] + k[s2]))
+        big[:4, :k[s1]], big[4:, k[s1]:] = basis[s1], basis[s2]
+        return big @ basis[tau]
+
+    ref = np.zeros((16, 16))
+    for tau in tree.leaves:
+        i = slice(4 * (tau - 4), 4 * (tau - 3))
+        ref[i, i] = D[tau]
+    for tau, at in ((2, 0), (3, 8)):
+        left, right = slice(at, at + 4), slice(at + 4, at + 8)
+        ref[left, right] = U[2 * tau] @ B12[tau] @ V[2 * tau + 1].T
+        ref[right, left] = U[2 * tau + 1] @ B21[tau] @ V[2 * tau].T
+    ref[:8, 8:] = extended(U, 2) @ B12[1] @ extended(V, 3).T
+    ref[8:, :8] = extended(U, 3) @ B21[1] @ extended(V, 2).T
+    assert np.allclose(hb.expand_dense(A), ref, atol=1e-13)
+    q = rng.standard_normal(16)
+    assert np.allclose(hb.hbs_matvec(A, q), ref @ q, atol=1e-12)
+
 
 def test_expand_block_diagonal(rng):
     A = block_diagonal_hbs(rng)
@@ -129,18 +164,6 @@ def test_transpose(rng):
         ref = E.T @ X[:, :m]
         assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(hb.hbs_matvec(A, X), before)
-
-
-def test_extended_basis_factorizes_offdiagonal(rng):
-    # a random matrix, and a smooth star's (N = 320, three levels)
-    for A in (random_hbs(rng, n=128, target_leaf=16), dense_compression("smooth_star", 32)[2]):
-        E = hb.expand_dense(A)
-        tree = A.tree
-        s1, s2 = 2, 3
-        U1 = _extended_basis(A, s1, "U")
-        V2 = _extended_basis(A, s2, "V")
-        i1, i2 = tree.indices(s1), tree.indices(s2)
-        assert np.allclose(E[np.ix_(i1, i2)], U1 @ A.B12[1] @ V2.T, atol=1e-12)
 
 
 def test_each_block_is_stored_once(tmp_path, smooth_star_600):
